@@ -35,7 +35,6 @@ from .cohomology import (
     basis_B3,
     basis_nilpotent,
     basis_transpose,
-    check_unimodular,
     transition_blocks,
 )
 from .errors import GuardrailExceeded, HesscombError, KOutOfRange, UnsupportedFormat
@@ -226,17 +225,18 @@ def _cmd_basis(cfg: RunConfig, args) -> tuple[str, int]:
         if cfg.fmt == "csv":
             return "\n".join(b.to_csv() for b in blocks), EXIT_OK
         _require_format(cfg.fmt, ("json", "csv"))
+        dets = [b.determinant() for b in blocks]
         data = {
             "h": list(h.values),
             "blocks": [
                 {
                     "degree": b.degree,
                     "size": b.size,
-                    "determinant": b.determinant(),
-                    "unimodular": check_unimodular(b),
+                    "determinant": det,
+                    "unimodular": abs(det) == 1,
                     "matrix": [list(row) for row in b.matrix],
                 }
-                for b in blocks
+                for b, det in zip(blocks, dets)
             ],
         }
         return _json(data), EXIT_OK
@@ -433,11 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args) -> RunConfig:
     h = None
-    if getattr(args, "h_values", None):
+    if getattr(args, "h_values", None) is not None:
         h = new_hessenberg(_parse_int_list(args.h_values, "--h"))
         _guard(h, args.max_n)
     shape = None
-    if getattr(args, "shape", None):
+    if getattr(args, "shape", None) is not None:
         shape = Partition(_parse_int_list(args.shape, "--shape"))
     command = args.command
     if command == "verify-paper":

@@ -8,10 +8,12 @@ B2; the alternative y-sector basis B3 uses differences y_{k+1} - y_1.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass
 from functools import cache
+from operator import neg
 
 from .errors import (
     DegenerateForm,
@@ -28,8 +30,6 @@ from .linalg import IntEchelon, bareiss_det
 from .qpoly import QPolynomial
 from .symfunc import DecompositionCounts
 
-_REWRITE_STEP_LIMIT = 5_000_000
-
 
 @dataclass(frozen=True)
 class XYMonomial:
@@ -41,7 +41,7 @@ class XYMonomial:
     def __post_init__(self):
         if not self.xexp:
             raise ShapeMismatch("empty exponent vector")
-        if any(e < 0 for e in self.xexp):
+        if min(self.xexp) < 0:
             raise ShapeMismatch("negative exponent")
         if self.y is not None and not 1 <= self.y <= len(self.xexp):
             raise ShapeMismatch(f"y index {self.y} outside 1..{len(self.xexp)}")
@@ -487,26 +487,54 @@ def _find_rewrite(
     return None
 
 
+def _rewrite_key(m: XYMonomial, n: int) -> tuple:
+    """Position of m in the rewrite order as a min-heap key (smallest key =
+    highest monomial).  y_n monomials come first; then y_k (k < n), by the
+    x-exponents read from x_1 upward, ties broken by k; then pure-x monomials,
+    by the x-exponents read from x_n down.  Distinct monomials get distinct
+    keys, and every rule of _find_rewrite replaces a monomial by strictly
+    lower ones."""
+    if m.y is None:
+        return (2, *map(neg, reversed(m.xexp)))
+    if m.y == n:
+        return (0, *map(neg, m.xexp))
+    return (1, *map(neg, m.xexp), m.y)
+
+
 def normal_form(e: XYElement, h: HessenbergFunction) -> XYElement:
-    """Reduce modulo the one-row ideal onto the span of B1 and B2."""
+    """Reduce modulo the one-row ideal onto the span of B1 and B2.
+
+    Monomials are taken highest first in the rewrite order, so each one is
+    rewritten once, after every contribution to its coefficient has arrived.
+    Raises NonTerminating if a rule fails to descend in that order."""
     h1 = _one_row_h1(h)
     n = h.n
-    pending = dict(e.terms)
+    # rewrite key -> [monomial, coefficient]; keys hash faster than monomials
+    pending = {_rewrite_key(m, n): [m, c] for m, c in e.terms.items()}
+    heap = list(pending)
+    heapq.heapify(heap)
     out: dict[XYMonomial, int] = {}
-    steps = 0
-    while pending:
-        m, c = pending.popitem()
+    while heap:
+        key = heapq.heappop(heap)
+        m, c = pending.pop(key)
         if c == 0:
             continue
-        steps += 1
-        if steps > _REWRITE_STEP_LIMIT:
-            raise NonTerminating("rewrite step limit exceeded")
         replacement = _find_rewrite(m, n, h1)
         if replacement is None:
-            out[m] = out.get(m, 0) + c
-        else:
-            for m2, c2 in replacement:
-                pending[m2] = pending.get(m2, 0) + c * c2
+            out[m] = c
+            continue
+        for m2, c2 in replacement:
+            key2 = _rewrite_key(m2, n)
+            entry = pending.get(key2)
+            if entry is not None:
+                entry[1] += c * c2
+            elif key2 > key:
+                pending[key2] = [m2, c * c2]
+                heapq.heappush(heap, key2)
+            else:
+                raise NonTerminating(
+                    f"rewriting {m.pretty()} produced {m2.pretty()}, which is not lower"
+                )
     return XYElement(n, out)
 
 
@@ -546,18 +574,26 @@ def _by_degree(basis: BasisSet) -> dict[int, list[XYElement]]:
     return out
 
 
-def coordinates(e: XYElement, elements: list[XYElement]) -> list[int]:
-    """Coordinates of a normal-form element against a list of basis monomials."""
+def _basis_index(elements: list[XYElement]) -> dict[XYMonomial, int]:
     index: dict[XYMonomial, int] = {}
     for pos, b in enumerate(elements):
         (mono,) = b.terms.keys()
         index[mono] = pos
-    vec = [0] * len(elements)
+    return index
+
+
+def _coordinates_in(e: XYElement, index: dict[XYMonomial, int], size: int) -> list[int]:
+    vec = [0] * size
     for m, c in e.terms.items():
         if m not in index:
             raise NotInBasis(f"monomial {m.pretty()} outside the basis list")
         vec[index[m]] = c
     return vec
+
+
+def coordinates(e: XYElement, elements: list[XYElement]) -> list[int]:
+    """Coordinates of a normal-form element against a list of basis monomials."""
+    return _coordinates_in(e, _basis_index(elements), len(elements))
 
 
 def transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
@@ -568,7 +604,8 @@ def transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
     for d in sorted(set(d1) | set(d3)):
         rows = d1.get(d, []) + d2.get(d, [])
         cols = d1.get(d, []) + d3.get(d, [])
-        columns = [coordinates(normal_form(e, h), rows) for e in cols]
+        index = _basis_index(rows)
+        columns = [_coordinates_in(normal_form(e, h), index, len(rows)) for e in cols]
         matrix = tuple(
             tuple(columns[j][i] for j in range(len(cols))) for i in range(len(rows))
         )
@@ -627,17 +664,18 @@ def permutation_orbits(h: HessenbergFunction) -> OrbitPartition:
         raise DegenerateForm("no y-sector orbits when h(1) = n")
     b1, b2 = basis_B1(h), basis_B2(h)
     union = list(b1.elements) + list(b2.elements)
+    index = _basis_index(union)
     ech = IntEchelon(len(union))
     orbits = []
     for exps in _y_sector_xparts(h):
         orbit = [XYElement.monomial(XYMonomial(exps, k)) for k in range(1, n + 1)]
         for e in orbit:
-            vec = coordinates(normal_form(e, h), union)
+            vec = _coordinates_in(normal_form(e, h), index, len(union))
             ech.insert({i: v for i, v in enumerate(vec) if v})
         orbits.append(tuple(orbit))
     fixed = []
     for e in b1.elements:
-        vec = coordinates(e, union)
+        vec = _coordinates_in(e, index, len(union))
         if ech.insert({i: v for i, v in enumerate(vec) if v}):
             fixed.append(e)
     return OrbitPartition(tuple(orbits), tuple(fixed))

@@ -71,7 +71,9 @@ class InvalidPair(HesscombError):
 
 
 class NonTerminating(HesscombError):
-    """Rewriting exceeded its safety bound (should be unreachable)."""
+    """A rewrite rule produced a monomial not below the one it rewrote in the
+    rewrite order, so reduction would not terminate.  Unreachable with the
+    library's own rules, whose descent the tests certify."""
 
 
 class DegenerateForm(HesscombError):

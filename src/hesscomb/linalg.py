@@ -34,11 +34,14 @@ def bareiss_det(rows: list[list[int]]) -> int:
                     break
             else:
                 return 0
+        p = m[k][k]
         for i in range(k + 1, n):
+            if m[i][k] == 0 and p == prev:
+                continue  # the update would leave row i as it is
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                m[i][j] = (m[i][j] * p - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
-        prev = m[k][k]
+        prev = p
     return sign * m[n - 1][n - 1]
 
 

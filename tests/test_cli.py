@@ -247,6 +247,17 @@ def test_validation_errors(capsys):
     assert data["error"]["type"] == "OutOfRange"
 
 
+def test_empty_list_arguments_are_validation_errors(capsys):
+    for argv in (
+        ["poincare", "--h", ""],
+        ["tableaux", "--h", "2,3,3", "--shape", ""],
+    ):
+        code, data = run_json(capsys, argv)
+        assert code == 2
+        assert data["error"]["type"] == "HesscombError"
+        assert "could not parse" in data["error"]["message"]
+
+
 def test_unsupported_formats(capsys):
     for argv in (
         ["poincare", "--h", "2,3,3", "--format", "dot"],
