@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cohomology import XYElement, XYMonomial, _divisible, _one_row_h1
+from .cohomology import XYElement, XYMonomial, _divisible
 from .errors import InvalidPair, NotInBasis, NotPTableau
-from .hessenberg import HessenbergFunction
+from .hessenberg import HessenbergFunction, _one_row_h1
 from .tableaux import (
     Partition,
     PTableau,

@@ -67,8 +67,6 @@ class RunConfig:
     shape: Partition | None
     fmt: str
     max_n: int
-    seed: int
-    long_tests: bool
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -387,12 +385,18 @@ def _add_common(p: argparse.ArgumentParser, *, needs_h: bool) -> None:
     p.add_argument("--shape", help="partition as a comma list, e.g. 2,1,1,1")
     p.add_argument("--format", dest="fmt", default="json", choices=("json", "csv", "latex", "dot"))
     p.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--long-tests", dest="long_tests", action="store_true")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a HesscombError, so it reaches the JSON
+    error path instead of printing usage to stderr; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise HesscombError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hesscomb",
         description="Exact combinatorial models of Hessenberg cohomology rings",
     )
@@ -442,13 +446,12 @@ def _config_from(args) -> RunConfig:
     command = args.command
     if command == "verify-paper":
         command = "verify-goldens"
-    return RunConfig(command, h, shape, args.fmt, args.max_n, args.seed, args.long_tests)
+    return RunConfig(command, h, shape, args.fmt, args.max_n)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from(args)
         if cfg.command == "csf":
             out, code = _cmd_csf(cfg)

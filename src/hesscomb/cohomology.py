@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gkm import GkmClass, class_t, class_x, class_y
-from .hessenberg import HessenbergFunction, classify_form
+from .hessenberg import HessenbergFunction, _one_row_h1, _transpose_m, classify_form
 from .linalg import IntEchelon, bareiss_det
 from .qpoly import QPolynomial
 from .symfunc import DecompositionCounts
@@ -240,13 +240,6 @@ class BasisSet:
         return [_element_degree(e, ydeg) for e in self.elements]
 
 
-def _one_row_h1(h: HessenbergFunction) -> int:
-    tag = classify_form(h)
-    if tag.one_row_h1 is None:
-        raise FormMismatch(f"h={h} is not of the form (h(1), n, ..., n)")
-    return tag.one_row_h1
-
-
 def _element_degree(e: XYElement, ydeg: int) -> int:
     degs = {m.qdegree(ydeg) for m in e.terms}
     if len(degs) != 1:
@@ -333,13 +326,6 @@ def basis_nilpotent(h: HessenbergFunction) -> BasisSet:
     elems = [XYElement.monomial(XYMonomial(exps)) for exps in monos]
     elems.sort(key=lambda e: _element_key(e, 0))
     return BasisSet("Nh", h, tuple(elems))
-
-
-def _transpose_m(h: HessenbergFunction) -> int:
-    tag = classify_form(h)
-    if tag.transpose_m is None:
-        raise FormMismatch(f"h={h} is not of the form ((n-1)^(n-m), n^m)")
-    return tag.transpose_m
 
 
 def mirror_element(e: XYElement) -> XYElement:
@@ -663,20 +649,21 @@ def permutation_orbits(h: HessenbergFunction) -> OrbitPartition:
     if h1 == n:
         raise DegenerateForm("no y-sector orbits when h(1) = n")
     b1, b2 = basis_B1(h), basis_B2(h)
-    union = list(b1.elements) + list(b2.elements)
-    index = _basis_index(union)
-    ech = IntEchelon(len(union))
+    index = _basis_index(list(b1.elements) + list(b2.elements))
+    ech = IntEchelon(len(index))
     orbits = []
     for exps in _y_sector_xparts(h):
         orbit = [XYElement.monomial(XYMonomial(exps, k)) for k in range(1, n + 1)]
         for e in orbit:
-            vec = _coordinates_in(normal_form(e, h), index, len(union))
-            ech.insert({i: v for i, v in enumerate(vec) if v})
+            terms = normal_form(e, h).terms
+            if not terms.keys() <= index.keys():
+                raise NotInBasis(f"normal form of {e.pretty()} leaves the basis list")
+            ech.insert({index[m]: c for m, c in terms.items()})
         orbits.append(tuple(orbit))
     fixed = []
     for e in b1.elements:
-        vec = _coordinates_in(e, index, len(union))
-        if ech.insert({i: v for i, v in enumerate(vec) if v}):
+        (mono,) = e.terms.keys()
+        if ech.insert({index[mono]: 1}):
             fixed.append(e)
     return OrbitPartition(tuple(orbits), tuple(fixed))
 

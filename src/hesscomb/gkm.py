@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import FormMismatch, KOutOfRange, OddDegree, OutOfRange, ShapeMismatch
-from .hessenberg import HessenbergFunction, box_counts, classify_form
+from .hessenberg import (
+    HessenbergFunction,
+    _one_row_h1,
+    _transpose_m,
+    box_counts,
+    classify_form,
+)
 from .intpoly import IntPoly, product
 from .linalg import IntEchelon
 
@@ -157,9 +163,6 @@ class GkmClass:
     def __getitem__(self, w: Perm) -> IntPoly:
         return self.values[w]
 
-    def support(self) -> list[Perm]:
-        return sorted(w for w, p in self.values.items() if not p.is_zero())
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.values.values())
 
@@ -228,20 +231,6 @@ def class_x(n: int, k: int) -> GkmClass:
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     return GkmClass(n, {w: IntPoly.var(n, w[k - 1]) for w in all_permutations(n)})
-
-
-def _one_row_h1(h: HessenbergFunction) -> int:
-    tag = classify_form(h)
-    if tag.one_row_h1 is None:
-        raise FormMismatch(f"h={h} is not of the form (h(1), n, ..., n)")
-    return tag.one_row_h1
-
-
-def _transpose_m(h: HessenbergFunction) -> int:
-    tag = classify_form(h)
-    if tag.transpose_m is None:
-        raise FormMismatch(f"h={h} is not of the form ((n-1)^(n-m), n^m)")
-    return tag.transpose_m
 
 
 def _supported_product(n: int, k: int, w: Perm, positions) -> IntPoly:

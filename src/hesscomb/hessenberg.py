@@ -14,6 +14,7 @@ from collections.abc import Iterable, Iterator
 from .errors import (
     BelowDiagonal,
     EmptyInput,
+    FormMismatch,
     NotWeaklyIncreasing,
     OutOfRange,
 )
@@ -114,6 +115,20 @@ def classify_form(h: HessenbergFunction) -> FormTag:
     return FormTag(one_row_h1=one_row, transpose_m=transpose_m)
 
 
+def _one_row_h1(h: HessenbergFunction) -> int:
+    tag = classify_form(h)
+    if tag.one_row_h1 is None:
+        raise FormMismatch(f"h={h} is not of the form (h(1), n, ..., n)")
+    return tag.one_row_h1
+
+
+def _transpose_m(h: HessenbergFunction) -> int:
+    tag = classify_form(h)
+    if tag.transpose_m is None:
+        raise FormMismatch(f"h={h} is not of the form ((n-1)^(n-m), n^m)")
+    return tag.transpose_m
+
+
 @dataclass(frozen=True)
 class PosetPh:
     """The natural-unit-interval order: i < j exactly when h(i) < j."""
@@ -126,9 +141,6 @@ class PosetPh:
 
     def incomparable(self, i: int, j: int) -> bool:
         return i != j and (i, j) not in self.relations and (j, i) not in self.relations
-
-    def sorted_relations(self) -> list[tuple[int, int]]:
-        return sorted(self.relations)
 
 
 def poset_of(h: HessenbergFunction) -> PosetPh:
@@ -152,9 +164,6 @@ class IncGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
 
 
 def inc_graph(p: PosetPh | HessenbergFunction) -> IncGraph:

@@ -164,15 +164,11 @@ class IntEchelon:
         return not np.flatnonzero(self.reduce(entries)).size
 
 
-def rank_int_rows(rows, ncols: int) -> int:
-    ech = IntEchelon(ncols)
-    for r in rows:
-        ech.insert(r)
-    return ech.rank
-
-
 def fraction_solve(a: list[list], b: list[list]) -> list[list[Fraction]]:
-    """Solve A·X = B exactly; A square nonsingular, B given column-wise."""
+    """Solve A·X = B exactly; A square nonsingular, B given column-wise.
+
+    No library module calls it; tests use it as a reference solver.
+    """
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(x) for x in brow]
          for row, brow in zip(a, b)]
@@ -190,25 +186,3 @@ def fraction_solve(a: list[list], b: list[list]) -> list[list[Fraction]]:
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return [row[n:width] for row in m]
 
-
-def rank_fraction_rows(rows: list[list]) -> int:
-    """Rank of a dense rational matrix by Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        inv = prow[col]
-        for i in range(rank + 1, len(work)):
-            if work[i][col]:
-                f = work[i][col] / inv
-                work[i] = [x - f * y for x, y in zip(work[i], prow)]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank

@@ -2,26 +2,25 @@
 
 A SymFn of degree n is a finite combination of basis elements indexed by
 partitions of n (monomial, schur, elementary or homogeneous basis), each
-coefficient a QPolynomial.  Conversions route through the monomial basis
-using exact rational solves and are verified integral.
+coefficient a QPolynomial.  Conversions go through the Schur basis by
+integer products with the Kostka matrix K and triangular solves against it:
+s_lam = sum_mu K_(lam, mu) m_mu, h_mu = sum_lam K_(lam, mu) s_lam, and
+e_mu = omega(h_mu).  K is unitriangular, so no step leaves the integers.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .errors import BasisMismatch, DegreeTooLarge, NotSymmetric
 from .hessenberg import HessenbergFunction, IncGraph
-from .linalg import fraction_solve
 from .qpoly import QPolynomial
 from .tableaux import Partition, conjugate, enumerate_p_tableaux, inversions
 
 BASES = ("monomial", "schur", "elementary", "homogeneous")
-DEFAULT_DEGREE_BOUND = 8
+DEGREE_BOUND = 8
 
 
 @cache
@@ -131,49 +130,9 @@ class SymFn:
         return " + ".join(bits)
 
 
-# --- expansions of basis elements in the monomial basis ---------------------
+# --- basis changes through the Kostka matrix --------------------------------
 
 
-def _poly_mul(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int], nvars: int):
-    out: dict[tuple[int, ...], int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-def _elementary_poly(k: int, nvars: int) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for subset in itertools.combinations(range(nvars), k):
-        e = [0] * nvars
-        for i in subset:
-            e[i] = 1
-        out[tuple(e)] = 1
-    return out
-
-
-def _homogeneous_poly(k: int, nvars: int) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for combo in itertools.combinations_with_replacement(range(nvars), k):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out[tuple(e)] = out.get(tuple(e), 0) + 1
-    return out
-
-
-def _collect_monomial_coeffs(poly: dict[tuple[int, ...], int], n: int) -> dict[Partition, int]:
-    out = {}
-    for lam in partitions_of(n):
-        key = tuple(lam.parts) + (0,) * (n - len(lam.parts))
-        c = poly.get(key, 0)
-        if c:
-            out[lam] = c
-    return out
-
-
-@cache
 def _kostka(lam: Partition, mu: Partition) -> int:
     """Number of semistandard tableaux of shape lam and content mu."""
     shape = lam.parts
@@ -206,90 +165,95 @@ def _kostka(lam: Partition, mu: Partition) -> int:
 
 
 @cache
-def _monomial_expansion_matrix(n: int, basis: str) -> tuple[tuple[int, ...], ...]:
-    """Row lam, column mu: coefficient of m_mu in basis element indexed by lam."""
+def _kostka_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """K[i][j] = K_(lam, mu) for lam, mu the i-th and j-th of partitions_of(n).
+
+    K_(lam, mu) is nonzero only when lam dominates mu, and K_(lam, lam) = 1;
+    partitions_of lists partitions in an order extending dominance, so K is
+    upper unitriangular.
+    """
     parts = partitions_of(n)
-    index = {p: i for i, p in enumerate(parts)}
-    rows = []
-    for lam in parts:
-        if basis == "schur":
-            row = [0] * len(parts)
-            for mu in parts:
-                row[index[mu]] = _kostka(lam, mu)
-        else:
-            maker = _elementary_poly if basis == "elementary" else _homogeneous_poly
-            poly: dict[tuple[int, ...], int] = {(0,) * n: 1}
-            for part in lam.parts:
-                poly = _poly_mul(poly, maker(part, n), n)
-            coeffs = _collect_monomial_coeffs(poly, n)
-            row = [coeffs.get(mu, 0) for mu in parts]
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(_kostka(lam, mu) if i <= j else 0 for j, mu in enumerate(parts))
+        for i, lam in enumerate(parts)
+    )
 
 
-def _to_monomial(f: SymFn) -> SymFn:
+def _mul(a, x: list[QPolynomial]) -> list[QPolynomial]:
+    return [
+        sum((v * c for c, v in zip(row, x) if c and v), QPolynomial.zero())
+        for row in a
+    ]
+
+
+def _solve(a, y: list[QPolynomial], order) -> list[QPolynomial]:
+    """Solve a·x = y for a unitriangular integer matrix a.
+
+    Rows are visited in `order`, which must reach every nonzero off-diagonal
+    entry of a row after the unknown it multiplies has been solved: increasing
+    for a lower triangle, decreasing for an upper one.
+    """
+    x = list(y)
+    for i in order:
+        for j, c in enumerate(a[i]):
+            if c and j != i and x[j]:
+                x[i] = x[i] - x[j] * c
+    return x
+
+
+def _to_schur(f: SymFn) -> SymFn:
+    if f.basis == "schur":
+        return f
+    parts = partitions_of(f.degree)
+    k = _kostka_matrix(f.degree)
+    x = [f.coefficient(p) for p in parts]
     if f.basis == "monomial":
-        return f
-    parts = partitions_of(f.degree)
-    matrix = _monomial_expansion_matrix(f.degree, f.basis)
-    acc: dict[Partition, QPolynomial] = {}
-    for lam, c in f.terms.items():
-        row = matrix[parts.index(lam)]
-        for mu, k in zip(parts, row):
-            if k:
-                acc[mu] = acc.get(mu, QPolynomial.zero()) + c * k
-    return SymFn(f.degree, "monomial", acc)
+        # m = transpose(K)·s, lower unitriangular: forward substitution.
+        s = _solve(tuple(zip(*k)), x, range(len(parts)))
+    else:
+        s = _mul(k, x)  # s = K·h; e = omega(h)
+    g = SymFn(f.degree, "schur", dict(zip(parts, s)))
+    return omega(g) if f.basis == "elementary" else g
 
 
-def _from_monomial(f: SymFn, basis: str) -> SymFn:
+def _from_schur(g: SymFn, basis: str) -> SymFn:
+    if basis == "schur":
+        return g
+    if basis == "elementary":
+        g = omega(g)
+    parts = partitions_of(g.degree)
+    k = _kostka_matrix(g.degree)
+    x = [g.coefficient(p) for p in parts]
     if basis == "monomial":
-        return f
-    parts = partitions_of(f.degree)
-    matrix = _monomial_expansion_matrix(f.degree, basis)
-    # Solve transpose(matrix) * x = target for each power of q.
-    exps = sorted({e for c in f.terms.values() for e in c.coeffs})
-    a = [[matrix[j][i] for j in range(len(parts))] for i in range(len(parts))]
-    b = []
-    for i, mu in enumerate(parts):
-        coeff = f.coefficient(mu)
-        b.append([coeff.coefficient(e) for e in exps])
-    if not exps:
-        return SymFn(f.degree, basis, {})
-    sol = fraction_solve(a, b)
-    acc: dict[Partition, QPolynomial] = {}
-    for j, lam in enumerate(parts):
-        pairs = []
-        for col, e in enumerate(exps):
-            v = sol[j][col]
-            if v:
-                if v.denominator != 1:
-                    raise NotSymmetric(f"non-integral coefficient {v} for {lam}")
-                pairs.append((e, int(v)))
-        if pairs:
-            acc[lam] = QPolynomial.from_pairs(pairs)
-    return SymFn(f.degree, basis, acc)
+        y = _mul(tuple(zip(*k)), x)
+    else:
+        # s = K·h, upper unitriangular: back substitution.
+        y = _solve(k, x, reversed(range(len(parts))))
+    return SymFn(g.degree, basis, dict(zip(parts, y)))
 
 
-def change_basis(f: SymFn, basis: str, degree_bound: int = DEFAULT_DEGREE_BOUND) -> SymFn:
-    """Convert between the four supported bases through the monomial hub."""
+def change_basis(f: SymFn, basis: str) -> SymFn:
+    """Convert between the four supported bases through the Schur basis.
+
+    Every step is a product with the Kostka matrix or its transpose, or a
+    triangular solve against one, so the arithmetic stays in the integers.
+    """
     if basis not in BASES:
         raise BasisMismatch(f"unknown basis {basis!r}")
-    if f.degree > degree_bound:
-        raise DegreeTooLarge(f"degree {f.degree} exceeds bound {degree_bound}")
+    if f.degree > DEGREE_BOUND:
+        raise DegreeTooLarge(f"degree {f.degree} exceeds bound {DEGREE_BOUND}")
     if f.basis == basis:
         return f
-    return _from_monomial(_to_monomial(f), basis)
+    return _from_schur(_to_schur(f), basis)
 
 
 # --- chromatic quasisymmetric functions --------------------------------------
 
 
-def csf_by_coloring(g: IncGraph, ordered: bool = False) -> SymFn:
+def csf_by_coloring(g: IncGraph) -> SymFn:
     """Sum over proper colorings of q^(ascents) times the color monomial.
 
-    Ascents are counted on graph edges {i < j} with color(i) < color(j);
-    with ordered=True they are counted over all vertex pairs instead (this
-    variant is generally not symmetric and then raises NotSymmetric).
+    Ascents are counted on graph edges {i < j} with color(i) < color(j).
     Colors 1..n suffice to determine every monomial coefficient in degree n.
     """
     n = g.n
@@ -311,11 +275,7 @@ def csf_by_coloring(g: IncGraph, ordered: bool = False) -> SymFn:
         for color in range(1, n + 1):
             if any(coloring[u] == color for u in neighbors[v]):
                 continue
-            gained = 0
-            if ordered:
-                gained = sum(1 for u in range(1, v) if coloring[u] < color)
-            else:
-                gained = sum(1 for u in neighbors[v] if coloring[u] < color)
+            gained = sum(1 for u in neighbors[v] if coloring[u] < color)
             coloring[v] = color
             assign(v + 1, asc + gained)
             coloring[v] = 0

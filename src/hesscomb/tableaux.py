@@ -74,12 +74,6 @@ class PTableau:
         """Bottom-to-top, left-to-right concatenation of the rows."""
         return tuple(v for row in self.rows for v in row)
 
-    def row_of(self, value: int) -> int:
-        for r, row in enumerate(self.rows):
-            if value in row:
-                return r
-        raise KOutOfRange(f"{value} not in tableau")
-
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(row[c] for row in self.rows if len(row) > c)
 

@@ -8,6 +8,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import hesscomb.cli as cli
 from hesscomb.goldens import GoldenResult, lookup
 from hesscomb.hessenberg import new_hessenberg
@@ -256,6 +258,30 @@ def test_empty_list_arguments_are_validation_errors(capsys):
         assert code == 2
         assert data["error"]["type"] == "HesscombError"
         assert "could not parse" in data["error"]["message"]
+
+
+def test_command_line_errors_are_json(capsys):
+    for argv in (
+        ["poincare"],
+        ["basis", "--h", "2,3,3", "--which", "B9"],
+        ["no-such-command", "--h", "2,3,3"],
+        [],
+        ["poincare", "--h", "2,3,3", "--seed", "1"],
+        ["poincare", "--h", "2,3,3", "--long-tests"],
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert json.loads(captured.out)["error"]["type"] == "HesscombError"
+        assert captured.err == ""
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["poincare", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 def test_unsupported_formats(capsys):

@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import random
+from functools import cache
 
 import pytest
 
@@ -24,6 +27,9 @@ from hesscomb import (
     q_factorial,
     q_int,
 )
+from hesscomb.linalg import fraction_solve
+
+BASES = ("monomial", "schur", "elementary", "homogeneous")
 
 
 def one_row(n: int, h1: int):
@@ -114,6 +120,145 @@ def test_change_basis_round_trips():
         g = change_basis(f, b1)
         for b2 in ("schur", "elementary", "homogeneous", "monomial"):
             assert change_basis(change_basis(g, b2), b1) == g
+
+
+# --- reference route for change_basis -----------------------------------------
+# Expand e_lam, h_lam and s_lam (Jacobi-Trudi) as polynomials in n variables,
+# read off the monomial coefficients, and solve for the target basis with a
+# Fraction Gauss-Jordan elimination.  Nothing here uses Kostka numbers.
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+@cache
+def _elementary_poly(k: int, nvars: int) -> dict:
+    out = {}
+    for subset in itertools.combinations(range(nvars), k):
+        out[tuple(int(i in subset) for i in range(nvars))] = 1
+    return out
+
+
+@cache
+def _homogeneous_poly(k: int, nvars: int) -> dict:
+    if k < 0:
+        return {}
+    out: dict = {}
+    for combo in itertools.combinations_with_replacement(range(nvars), k):
+        e = tuple(combo.count(i) for i in range(nvars))
+        out[e] = out.get(e, 0) + 1
+    return out
+
+
+def _product_poly(factors, nvars: int, coeff: int = 1) -> dict:
+    poly = {(0,) * nvars: coeff}
+    for f in factors:
+        poly = _poly_mul(poly, f)
+    return poly
+
+
+def _schur_poly(lam: Partition, nvars: int) -> dict:
+    """Jacobi-Trudi: s_lam = det(h_(lam_i - i + j))."""
+    parts, out = lam.parts, {}
+    for perm in itertools.permutations(range(len(parts))):
+        degrees = [parts[i] - i + perm[i] for i in range(len(parts))]
+        if min(degrees) < 0:
+            continue
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = _product_poly((_homogeneous_poly(d, nvars) for d in degrees), nvars, sign)
+        for e, c in term.items():
+            out[e] = out.get(e, 0) + c
+    return out
+
+
+@cache
+def _reference_expansion(n: int, basis: str) -> list[list[int]]:
+    """Row lam, column mu: coefficient of m_mu in the basis element lam."""
+    parts = partitions_of(n)
+    rows = []
+    for lam in parts:
+        if basis == "monomial":
+            poly = {tuple(lam.parts) + (0,) * (n - len(lam.parts)): 1}
+        elif basis == "schur":
+            poly = _schur_poly(lam, n)
+        else:
+            maker = _elementary_poly if basis == "elementary" else _homogeneous_poly
+            poly = _product_poly((maker(k, n) for k in lam.parts), n)
+        rows.append([poly.get(tuple(mu.parts) + (0,) * (n - len(mu.parts)), 0) for mu in parts])
+    return rows
+
+
+@cache
+def _reference_transition(n: int, src: str, dst: str) -> list[list[int]]:
+    """Column lam holds the dst coordinates of the src basis element lam."""
+    a = [list(col) for col in zip(*_reference_expansion(n, dst))]
+    b = [list(col) for col in zip(*_reference_expansion(n, src))]
+    sol = fraction_solve(a, b)
+    assert all(v.denominator == 1 for row in sol for v in row)
+    return [[int(v) for v in row] for row in sol]
+
+
+def _reference_change_basis(f: SymFn, dst: str) -> SymFn:
+    parts = partitions_of(f.degree)
+    t = _reference_transition(f.degree, f.basis, dst)
+    terms = {}
+    for i, nu in enumerate(parts):
+        acc = QPolynomial.zero()
+        for j, lam in enumerate(parts):
+            if t[i][j]:
+                acc = acc + f.coefficient(lam) * t[i][j]
+        terms[nu] = acc
+    return SymFn(f.degree, dst, terms)
+
+
+def _random_symfn(rng: random.Random, n: int, basis: str) -> SymFn:
+    parts = partitions_of(n)
+    terms = {}
+    for p in rng.sample(parts, rng.randint(1, len(parts))):
+        terms[p] = QPolynomial(
+            {rng.randint(0, 5): rng.randint(-9, 9) for _ in range(rng.randint(1, 3))}
+        )
+    return SymFn(n, basis, terms)
+
+
+def test_change_basis_matches_reference_on_basis_elements():
+    for n in range(1, 7):
+        for src in BASES:
+            for dst in BASES:
+                for lam in partitions_of(n):
+                    f = SymFn(n, src, {lam: QPolynomial.one()})
+                    assert change_basis(f, dst) == _reference_change_basis(f, dst)
+
+
+def test_change_basis_matches_reference_on_random_vectors():
+    rng = random.Random(20160)
+    for n in range(1, 7):
+        for src in BASES:
+            for dst in BASES:
+                for _ in range(3):
+                    f = _random_symfn(rng, n, src)
+                    assert change_basis(f, dst) == _reference_change_basis(f, dst)
+
+
+def test_reference_expansions_agree_with_known_values():
+    # s_(2,1) = m_(2,1) + 2 m_(1,1,1); h_(2,1) = m_(3) + 2 m_(2,1) + 3 m_(1,1,1).
+    assert _reference_expansion(3, "schur")[1] == [0, 1, 2]
+    assert _reference_expansion(3, "homogeneous")[1] == [1, 2, 3]
+    assert _reference_expansion(3, "elementary")[1] == [0, 1, 3]
+
+
+def test_change_basis_round_trips_n8():
+    rng = random.Random(8)
+    for src in BASES:
+        f = _random_symfn(rng, 8, src)
+        for dst in BASES:
+            assert change_basis(change_basis(f, dst), src) == f
 
 
 def test_change_basis_degree_bound():
