@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import goldens
 from .bijections import (
@@ -395,7 +396,10 @@ class _Parser(argparse.ArgumentParser):
         raise HesscombError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args fills a fresh
+    namespace on every call, so nothing carries over between calls."""
     parser = _Parser(
         prog="hesscomb",
         description="Exact combinatorial models of Hessenberg cohomology rings",

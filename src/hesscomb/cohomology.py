@@ -650,7 +650,7 @@ def permutation_orbits(h: HessenbergFunction) -> OrbitPartition:
         raise DegenerateForm("no y-sector orbits when h(1) = n")
     b1, b2 = basis_B1(h), basis_B2(h)
     index = _basis_index(list(b1.elements) + list(b2.elements))
-    ech = IntEchelon(len(index))
+    ech = IntEchelon()
     orbits = []
     for exps in _y_sector_xparts(h):
         orbit = [XYElement.monomial(XYMonomial(exps, k)) for k in range(1, n + 1)]

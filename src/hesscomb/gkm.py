@@ -376,7 +376,8 @@ def _form_parameters(h: HessenbergFunction) -> tuple[int, tuple[int, ...]]:
 
 class _DegreeContext:
     """Shared tables for rank computations in one q-degree: the column index
-    over (vertex, degree-d t-monomial) pairs and the echelonized t-ideal."""
+    over (degree-d t-monomial, vertex) pairs, t-monomial-major, and the
+    echelonized t-ideal."""
 
     def __init__(self, values: tuple[int, ...], d: int):
         h = HessenbergFunction(values)
@@ -389,7 +390,6 @@ class _DegreeContext:
         self.vidx = {w: i for i, w in enumerate(self.perms)}
         self.mons = _compositions(d, n)
         self.midx = {mon: i for i, mon in enumerate(self.mons)}
-        self.ncols = len(self.perms) * len(self.mons)
 
         self.yterms: dict[int, list[tuple[Perm, list]]] = {}
         for k in range(1, n + 1):
@@ -401,7 +401,7 @@ class _DegreeContext:
             self.yterms[k] = rows
         self.const_terms = [(w, [((0,) * n, 1)]) for w in self.perms]
 
-        tideal = IntEchelon(self.ncols)
+        tideal = IntEchelon()
         for j in range(1, d + 1):
             rest = d - j
             for a in _compositions(j, n):
@@ -422,7 +422,7 @@ class _DegreeContext:
                     base[w[pos] - 1] += e
             for exps, coeff in terms:
                 key = tuple(x + y for x, y in zip(base, exps))
-                col = self.vidx[w] * len(self.mons) + self.midx[key]
+                col = self.midx[key] * len(self.perms) + self.vidx[w]
                 entries[col] = entries.get(col, 0) + coeff
         return entries
 
@@ -430,7 +430,7 @@ class _DegreeContext:
         entries: dict[int, int] = {}
         for w, poly in c.values.items():
             for exps, coeff in poly.sorted_terms():
-                col = self.vidx[w] * len(self.mons) + self.midx[exps]
+                col = self.midx[exps] * len(self.perms) + self.vidx[w]
                 entries[col] = entries.get(col, 0) + coeff
         return entries
 
@@ -455,27 +455,22 @@ def _rank_tables(values: tuple[int, ...], d: int) -> tuple[int, int]:
     ydeg = ctx.ydeg
     zero_a = (0,) * n
 
-    quo = ctx.tideal.clone()
-    rank = 0
+    # Both counts share the t-ideal plus the constant rows; only the y rows
+    # differ (one per k for the quotient, summed over k for the fixed part).
+    base = ctx.tideal.clone()
+    shared = 0
     for b in ctx.x_parts(d):
-        if quo.insert(ctx.make_row(ctx.const_terms, zero_a, b)):
-            rank += 1
+        shared += base.insert(ctx.make_row(ctx.const_terms, zero_a, b))
+    rank = fixed = shared
     if d >= ydeg:
-        for b in ctx.x_parts(d - ydeg):
+        parts = list(ctx.x_parts(d - ydeg))
+        quo = base.clone()
+        for b in parts:
             for k in range(1, n + 1):
-                if quo.insert(ctx.make_row(ctx.yterms[k], zero_a, b)):
-                    rank += 1
-
-    fix = ctx.tideal.clone()
-    fixed = 0
-    for b in ctx.x_parts(d):
-        if fix.insert(ctx.make_row(ctx.const_terms, zero_a, b)):
-            fixed += 1
-    if d >= ydeg:
+                rank += quo.insert(ctx.make_row(ctx.yterms[k], zero_a, b))
         all_y = [pair for k in range(1, n + 1) for pair in ctx.yterms[k]]
-        for b in ctx.x_parts(d - ydeg):
-            if fix.insert(ctx.make_row(all_y, zero_a, b)):
-                fixed += 1
+        for b in parts:
+            fixed += base.insert(ctx.make_row(all_y, zero_a, b))
     return rank, fixed
 
 

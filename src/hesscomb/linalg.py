@@ -1,18 +1,14 @@
 """Exact linear algebra over the integers and rationals.
 
-The rank engine keeps rows as numpy int64 vectors for speed, dividing each
-row by its content (gcd) and falling back to arbitrary-precision object
-arrays whenever an update could overflow, so every answer is exact.
+The rank engine keeps rows as sparse dicts of Python ints, which never
+overflow, and stores each pivot divided by its content (gcd), so every
+answer is exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
-
-_INT64_SAFE = 2**62
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -45,39 +41,20 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _gcd_reduce_int64(row: np.ndarray) -> np.ndarray:
-    nz = row[row != 0]
-    g = int(np.gcd.reduce(np.abs(nz)))
-    if g > 1:
-        row = row // g
-    return row
-
-
-def _gcd_reduce_object(row: np.ndarray) -> np.ndarray:
-    g = 0
-    for v in row:
-        if v:
-            g = math.gcd(g, abs(int(v)))
-            if g == 1:
-                return row
-    if g > 1:
-        row = np.array([int(v) // g for v in row], dtype=object)
-    return row
-
-
 class IntEchelon:
     """Incremental row echelon over Z, exact, scaling-insensitive.
 
-    Pivot rows are frozen once registered, so an instance can be cloned
-    cheaply to branch rank computations off a shared prefix.
+    A row is a sparse dict from column to nonzero Python int.  Each pivot is
+    stored primitive (content 1) with a positive lead and is never changed
+    afterwards, so an instance can be cloned cheaply to branch rank
+    computations off a shared prefix.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.pivots: dict[int, np.ndarray] = {}
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
 
     def clone(self) -> "IntEchelon":
-        other = IntEchelon(self.ncols)
+        other = IntEchelon()
         other.pivots = dict(self.pivots)
         return other
 
@@ -85,83 +62,47 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _as_row(self, entries) -> np.ndarray:
-        if isinstance(entries, np.ndarray):
-            return entries.copy()
-        row = np.zeros(self.ncols, dtype=np.int64)
-        big = False
-        for c, v in entries.items():
-            if abs(v) >= _INT64_SAFE:
-                big = True
-                break
-            row[c] = v
-        if big:
-            row = np.zeros(self.ncols, dtype=object)
-            for c, v in entries.items():
-                row[c] = int(v)
-        return row
-
-    def reduce(self, entries) -> np.ndarray:
-        """Reduce a row against the current pivots; result scaled arbitrarily."""
-        row = self._as_row(entries)
-        pos = 0
-        while True:
-            nz = np.flatnonzero(row[pos:])
-            if len(nz) == 0:
-                return row
-            lead = pos + int(nz[0])
+    def reduce(self, entries: dict[int, int]) -> dict[int, int]:
+        """Top-reduce a row until its lead column has no pivot; the result is
+        a new dict, scaled arbitrarily, and empty when the row is in the span."""
+        row = {c: v for c, v in entries.items() if v}
+        get = row.get
+        while row:
+            lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                return row
-            row = self._combine(row, piv, lead)
-            pos = lead + 1
+                break
+            g = math.gcd(row[lead], piv[lead])
+            rv = row[lead] // g
+            pv = piv[lead] // g
+            if pv != 1:
+                for c in row:
+                    row[c] *= pv
+            for c, v in piv.items():
+                x = get(c, 0) - v * rv
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+        return row
 
-    def _combine(self, row: np.ndarray, piv: np.ndarray, lead: int) -> np.ndarray:
-        rv = int(row[lead])
-        pv = int(piv[lead])
-        g = math.gcd(rv, pv)
-        rv //= g
-        pv //= g
-        if row.dtype == np.int64 and piv.dtype == np.int64:
-            mr = int(np.abs(row).max(initial=0))
-            mp = int(np.abs(piv).max(initial=0))
-            if mr * abs(pv) + mp * abs(rv) < _INT64_SAFE:
-                out = row * np.int64(pv) - piv * np.int64(rv)
-                if int(np.abs(out).max(initial=0)) > 2**20:
-                    out = _gcd_reduce_int64(out) if out.any() else out
-                return out
-            row = row.astype(object)
-        if piv.dtype == np.int64:
-            piv = piv.astype(object)
-        if row.dtype == np.int64:
-            row = row.astype(object)
-        out = row * pv - piv * rv
-        if out.any():
-            out = _gcd_reduce_object(out)
-            mx = max(abs(int(v)) for v in out if v)
-            if mx < _INT64_SAFE:
-                out = out.astype(np.int64)
-        return out
-
-    def insert(self, entries) -> bool:
+    def insert(self, entries: dict[int, int]) -> bool:
         """Insert a row; return True when it increases the rank."""
         row = self.reduce(entries)
-        nz = np.flatnonzero(row)
-        if len(nz) == 0:
+        if not row:
             return False
-        lead = int(nz[0])
-        if row.dtype == np.int64:
-            row = _gcd_reduce_int64(row)
-        else:
-            row = _gcd_reduce_object(row)
-        if int(row[lead]) < 0:
-            row = -row
+        lead = min(row)
+        g = math.gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
         self.pivots[lead] = row
         return True
 
-    def contains(self, entries) -> bool:
+    def contains(self, entries: dict[int, int]) -> bool:
         """Membership of a row in the current row span."""
-        return not np.flatnonzero(self.reduce(entries)).size
+        return not self.reduce(entries)
 
 
 def fraction_solve(a: list[list], b: list[list]) -> list[list[Fraction]]:

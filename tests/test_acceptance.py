@@ -10,9 +10,9 @@ so the suite stays honest about what holds and what does not.
 import json
 import math
 from collections import Counter
-from fractions import Fraction
 
 import pytest
+from fracspan import FracSpan
 
 from hesscomb import goldens, poincare
 from hesscomb.bijections import (
@@ -233,38 +233,6 @@ def test_acceptance_bijection_round_trips_n6_and_worked_traces():
     assert trace_phi_b3(h, element) == b3
 
 
-class _FracSpan:
-    """Row space over the rationals with exact echelon bookkeeping."""
-
-    def __init__(self):
-        self.rows = {}
-
-    def _reduce(self, vec):
-        vec = {k: Fraction(v) for k, v in vec.items() if v}
-        for pivot, row in self.rows.items():
-            if pivot in vec:
-                c = vec[pivot]
-                vec = {
-                    k: vec.get(k, Fraction(0)) - c * row.get(k, Fraction(0))
-                    for k in set(vec) | set(row)
-                }
-                vec = {k: v for k, v in vec.items() if v}
-        return vec
-
-    def insert(self, vec):
-        vec = self._reduce(vec)
-        if not vec:
-            return False
-        pivot = min(vec)
-        lead = vec[pivot]
-        self.rows[pivot] = {k: v / lead for k, v in vec.items()}
-        return True
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
 def test_acceptance_decomposition_orbit_counts_and_e_positivity():
     """Multiplicity formulas for the two constituent types, orbit and fixed
     counts with a full-rank check at n <= 4, and the elementary-basis
@@ -300,7 +268,7 @@ def test_acceptance_decomposition_orbit_counts_and_e_positivity():
         h = one_row(n, h1)
         op = permutation_orbits(h)
         union = list(basis_B1(h).elements) + list(basis_B2(h).elements)
-        span = _FracSpan()
+        span = FracSpan()
         inserted = 0
         for orbit in op.orbits:
             assert len(orbit) == n

@@ -1,14 +1,19 @@
 """End-to-end tests for the command-line interface.
 
 Each test drives main() in process and checks the exit code plus the emitted
-document; one test runs the module as a subprocess to cover the entry point.
+document; subprocess tests cover the entry point and a cold import.
 """
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hesscomb.cli as cli
 from hesscomb.goldens import GoldenResult, lookup
@@ -360,3 +365,111 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == POINCARE_233
+
+
+def test_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hesscomb; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_consecutive_calls_share_no_arguments(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    _, data = run_json(capsys, ["basis", "--h", "2,3,3", "--which", "B2"])
+    assert data["label"] == "B2"
+    _, data = run_json(capsys, ["basis", "--h", "2,3,3"])
+    assert data["label"] == "B1"
+    forward = ["bijection", "--h", "2,3,5,5,5", "--map", "nilpotent", "--monomial", "1,0,1,1,0"]
+    _, traced = run_json(capsys, forward + ["--trace"])
+    assert traced == lookup("ex-nilpotent-insertion")
+    _, data = run_json(capsys, forward)
+    assert data["output"]["rows"] == [[2], [1], [5], [3], [4]]
+    assert data != traced
+    code, out = run(capsys, ["basis", "--h", "2,3,3", "--blocks", "--format", "csv"])
+    assert code == 0 and out.startswith("degree,0")
+    code, data = run_json(capsys, ["basis", "--h", "2,3,3", "--blocks"])
+    assert code == 0 and data["blocks"][0]["degree"] == 0
+
+
+# --- argv fuzzing -------------------------------------------------------------
+
+# Valid --h values stay at n <= 3; at n = 4 poincare may take seconds.  The
+# n = 9 value always exceeds --max-n, whose drawn values are at most 7.
+H_VALUES = ("1", "1,2", "2,2", "1,3,3", "2,2,3", "2,3,3", "3,3,3", "1,2,3",
+            "", "2,1,3", "3,3", "0", "2,x,3", "-1", "9,9,9,9,9,9,9,9,9")
+OPTION_VALUES = {
+    "--h": H_VALUES,
+    "--shape": ("2,1", "1,1,1", "3", "2,2", "", "x", "0"),
+    "--format": ("json", "csv", "latex", "dot", "xml"),
+    "--max-n": ("3", "7", "0", "-1", "x"),
+    "--dump-class": ("x1", "y2", "t1", "y9", "z", "x"),
+    "--variant": ("auto", "one-row", "transpose", "both"),
+    "--which": ("B1", "B2", "B3", "Nh", "transpose", "B9"),
+    "--map": ("nilpotent", "b1", "b3", "zz"),
+    "--monomial": ("1,0,0", "0,1,0", "2,0,0", "0,0", "a"),
+    "--k": ("1", "2", "5", "-1", "x"),
+    "--tableau": ("[[3],[2],[1]]", "[[1,2],[3]]", "[[", "[]", "[[0]]"),
+}
+FLAGS = tuple(OPTION_VALUES) + ("--relations", "--blocks", "--trace", "--round-trip", "--nope")
+COMMON_FLAGS = ("--h", "--shape", "--format", "--max-n")
+OWN_FLAGS = {
+    "gkm": ("--dump-class", "--variant", "--relations"),
+    "basis": ("--which", "--blocks"),
+    "bijection": ("--map", "--monomial", "--k", "--tableau", "--trace", "--round-trip"),
+}
+SUBCOMMANDS = ("csf", "poincare", "tableaux", "gkm", "basis", "bijection",
+               "verify-goldens", "verify-paper", "nope")
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, usually a valid --h, then flags that mostly belong to the
+    subcommand, each usually with a value, and sometimes one stray token."""
+    sub = draw(st.sampled_from(SUBCOMMANDS))
+    argv = [sub]
+    if draw(st.sampled_from((True, True, True, False))):
+        argv += ["--h", draw(st.sampled_from(H_VALUES[:8]))]
+    for _ in range(draw(st.integers(0, 4))):
+        own = COMMON_FLAGS + OWN_FLAGS.get(sub, ())
+        flag = draw(st.sampled_from(own if draw(st.sampled_from((True,) * 3 + (False,))) else FLAGS))
+        argv.append(flag)
+        if flag in OPTION_VALUES and draw(st.sampled_from((True,) * 7 + (False,))):
+            argv.append(draw(st.sampled_from(OPTION_VALUES[flag])))
+    if not draw(st.sampled_from((True,) * 7 + (False,))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.text("abc019,[]", max_size=4)))
+    return argv
+
+
+def requested_format(argv):
+    fmt = "json"
+    for flag, value in zip(argv, argv[1:]):
+        if flag == "--format":
+            fmt = value
+    return fmt
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_any_argv_keeps_the_output_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = out.getvalue()
+    assert code in (0, 2, 3), argv
+    assert err.getvalue() == "", argv
+    assert text.endswith("\n"), argv
+    if code == 2:
+        assert list(json.loads(text)) == ["error"], argv
+        return
+    fmt = requested_format(argv)
+    if fmt == "json":
+        json.loads(text)
+    elif fmt == "dot":
+        assert text.startswith("graph gkm {") and text.endswith("}\n")
+    elif fmt == "csv":
+        assert all(re.fullmatch(r"-?\w+(,-?\w+)*", line) for line in text.splitlines() if line)
+    else:
+        assert fmt == "latex" and text.strip() and "\n" not in text.rstrip("\n")

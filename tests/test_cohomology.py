@@ -10,9 +10,9 @@ import itertools
 import json
 import math
 import random
-from fractions import Fraction
 
 import pytest
+from fracspan import FracSpan
 
 from hesscomb.cohomology import (
     TransitionBlock,
@@ -70,43 +70,6 @@ def xvar(n, i):
 
 def yvar(n, k):
     return mono((0,) * n, k)
-
-
-class FracSpan:
-    """Row space over Q with exact elimination; rows are index -> value dicts."""
-
-    def __init__(self):
-        self.pivots = {}
-
-    def _reduce(self, row):
-        row = {i: Fraction(v) for i, v in row.items() if v}
-        while row:
-            lead = min(row)
-            if lead not in self.pivots:
-                return row, lead
-            piv = self.pivots[lead]
-            factor = row[lead]
-            for i, v in piv.items():
-                row[i] = row.get(i, Fraction(0)) - factor * v
-                if not row[i]:
-                    del row[i]
-        return row, None
-
-    def insert(self, row):
-        row, lead = self._reduce(row)
-        if lead is None:
-            return False
-        scale = row[lead]
-        self.pivots[lead] = {i: v / scale for i, v in row.items()}
-        return True
-
-    def contains(self, row):
-        _, lead = self._reduce(row)
-        return lead is None
-
-    @property
-    def rank(self):
-        return len(self.pivots)
 
 
 # --- polynomial dictionaries for the Macaulay membership oracle ----------------

@@ -1,11 +1,15 @@
-"""Exact determinants: bareiss_det against rational Gaussian elimination."""
+"""Exact linear algebra: bareiss_det against rational Gaussian elimination,
+and IntEchelon against the rational row-span oracle."""
 
+import math
 import random
 from fractions import Fraction
 
+from fracspan import FracSpan
+
 from hesscomb.cohomology import basis_B3, transition_blocks
 from hesscomb.hessenberg import new_hessenberg
-from hesscomb.linalg import bareiss_det
+from hesscomb.linalg import IntEchelon, bareiss_det
 
 
 def fraction_det(rows):
@@ -77,3 +81,113 @@ def test_block_determinants_match_fraction_elimination_and_the_law():
                 det = bareiss_det([list(row) for row in b.matrix])
                 assert det == fraction_det(b.matrix)
                 assert abs(det) == n ** len(groups.get(b.degree // 2, ()))
+
+
+# --- IntEchelon against the rational row span --------------------------------
+
+
+def random_entry(rng, big):
+    if big:
+        return rng.choice([-1, 1]) * rng.randint(2**62, 2**64)
+    return rng.choice([-3, -2, -1, 1, 1, 2, 5])
+
+
+def combination(rng, rows):
+    row = {}
+    for r in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+        f = rng.choice([-2, -1, 1, 3])
+        for c, v in r.items():
+            row[c] = row.get(c, 0) + f * v
+    return row
+
+
+def random_rows(rng, count, ncols, big=False):
+    """Sparse integer rows; about a third are integer combinations of earlier
+    rows, so many inserts are dependent."""
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.35:
+            row = combination(rng, rows)
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, max(1, ncols // 3)))
+            row = {c: random_entry(rng, big and rng.random() < 0.5) for c in cols}
+        rows.append(row)
+    return rows
+
+
+def check_pivots(ech, oracle):
+    """Each pivot is stored primitive with a positive lead at its key, and
+    lies in the oracle's span."""
+    for lead, piv in ech.pivots.items():
+        assert lead == min(piv) and piv[lead] > 0 and 0 not in piv.values()
+        assert math.gcd(*piv.values()) == 1
+        assert oracle.contains(piv)
+
+
+def test_echelon_insert_and_contains_match_the_rational_span():
+    rng = random.Random(4004)
+    answers = []
+    for trial in range(60):
+        ncols = rng.randint(1, 24)
+        ech, oracle = IntEchelon(), FracSpan()
+        inserted = []
+        for row in random_rows(rng, rng.randint(1, 30), ncols):
+            probe = random_rows(rng, 1, ncols)[0]
+            if inserted and rng.random() < 0.5:
+                probe = combination(rng, inserted)
+                probe[rng.randrange(ncols)] = rng.choice([0, 0, 1])
+            answers.append(oracle.contains(probe))
+            assert ech.contains(probe) == answers[-1]
+            assert ech.insert(row) == oracle.insert(row), (trial, row)
+            assert ech.rank == oracle.rank
+            assert ech.contains(row)
+            inserted.append(row)
+        check_pivots(ech, oracle)
+    assert answers.count(True) > 100 and answers.count(False) > 100
+    assert IntEchelon().insert({}) is False
+    assert IntEchelon().insert({3: 0}) is False
+
+
+def test_echelon_exact_past_int64():
+    rng = random.Random(6264)
+    largest = 0
+    for _ in range(40):
+        ncols = rng.randint(2, 12)
+        ech, oracle = IntEchelon(), FracSpan()
+        for row in random_rows(rng, rng.randint(2, 16), ncols, big=True):
+            assert ech.insert(row) == oracle.insert(row)
+            probe = {c: random_entry(rng, True) for c in rng.sample(range(ncols), 2)}
+            assert ech.contains(probe) == oracle.contains(probe)
+        check_pivots(ech, oracle)
+        largest = max([largest] + [abs(v) for p in ech.pivots.values() for v in p.values()])
+    assert largest >= 2**63
+    # the sum of two rows is in the span; a change beyond 2**64 takes it out
+    ech = IntEchelon()
+    assert ech.insert({0: 3, 1: 2**62, 2: 1})
+    assert ech.insert({0: 2, 1: 2**62 + 1, 2: 2**64})
+    assert ech.contains({0: 5, 1: 2**63 + 1, 2: 2**64 + 1})
+    assert not ech.contains({0: 5, 1: 2**63 + 1, 2: 2**64 + 2})
+    assert not ech.insert({0: 10, 1: 2**64 + 2, 2: 2**65 + 2})
+    assert ech.rank == 2
+
+
+def test_echelon_clone_leaves_the_original_unchanged():
+    rng = random.Random(2718)
+    for _ in range(30):
+        ncols = rng.randint(2, 16)
+        rows = random_rows(rng, 24, ncols)
+        probes = random_rows(rng, 12, ncols)
+        ech, oracle = IntEchelon(), FracSpan()
+        for row in rows[:12]:
+            ech.insert(row)
+            oracle.insert(row)
+        before = ({k: dict(v) for k, v in ech.pivots.items()},
+                  [ech.contains(p) for p in probes])
+        branch = ech.clone()
+        for row in rows[12:]:
+            assert branch.insert(row) == oracle.insert(row)
+        assert branch.rank == oracle.rank
+        assert [branch.contains(p) for p in probes] == [oracle.contains(p) for p in probes]
+        assert ech.rank == len(before[0])
+        assert ({k: dict(v) for k, v in ech.pivots.items()},
+                [ech.contains(p) for p in probes]) == before
