@@ -5,6 +5,8 @@ Three maps, each with its inverse and a step-by-step trace variant:
   * B1 monomials         <->  P-tableaux of shape (1^n), one-row h;
   * B3 elements          <->  pairs (standard tableau, P-tableau) of shape
                               (2, 1^(n-2)), one-row h.
+Each map and its trace run one shared insertion routine; the trace passes it
+a list to record the steps in, so the map itself records nothing.
 
 Columns are handled as bottom-to-top lists throughout; PTableau rows are
 bottom-up, so rows[0] is the bottom row.
@@ -68,13 +70,8 @@ def _check_nilpotent_monomial(h: HessenbergFunction, m: XYMonomial) -> None:
             raise NotInBasis(f"exponent {e} on x_{k} outside 0..{h(k) - k}")
 
 
-def phi_nilpotent(h: HessenbergFunction, m: XYMonomial) -> PTableau:
-    """Insertion map from nilpotent basis monomials to column P-tableaux.
-
-    Entries are inserted for k = n-1 down to 1: with i_k = 0 the entry goes to
-    the bottom; otherwise directly above the i_k-th lowest current entry among
-    k+1, ..., h(k).
-    """
+def _insert_nilpotent(h: HessenbergFunction, m: XYMonomial, steps: list | None = None) -> PTableau:
+    """phi_nilpotent, appending one record per insertion to steps if given."""
     _check_nilpotent_monomial(h, m)
     n = h.n
     col = [n]
@@ -85,14 +82,24 @@ def phi_nilpotent(h: HessenbergFunction, m: XYMonomial) -> PTableau:
         else:
             positions = [p for p, v in enumerate(col) if k < v <= h(k)]
             col.insert(positions[i - 1] + 1, k)
+        if steps is not None:
+            steps.append({"entry": k, "exponent": i, "column": list(col)})
     return _column_tableau(col)
+
+
+def phi_nilpotent(h: HessenbergFunction, m: XYMonomial) -> PTableau:
+    """Insertion map from nilpotent basis monomials to column P-tableaux.
+
+    Entries are inserted for k = n-1 down to 1: with i_k = 0 the entry goes to
+    the bottom; otherwise directly above the i_k-th lowest current entry among
+    k+1, ..., h(k).
+    """
+    return _insert_nilpotent(h, m)
 
 
 def psi_nilpotent(h: HessenbergFunction, t: PTableau) -> XYMonomial:
     """Reads off i_k = number of inversions with k as the smaller entry."""
     _check_column_shape(t)
-    if not is_p_tableau(h, t):
-        raise NotPTableau(f"not a P-tableau for h = {h}")
     pairs = inversions(h, t).pairs
     exps = [0] * h.n
     for small, _large in pairs:
@@ -113,19 +120,32 @@ def _check_b1_monomial(h: HessenbergFunction, m: XYMonomial) -> None:
         raise NotInBasis("monomial divisible by x_1...x_{h(1)}")
 
 
-def phi_b1(h: HessenbergFunction, m: XYMonomial) -> PTableau:
-    """Insertion above i_k arbitrary entries, then one slide below the 1."""
+def _insert_b1(h: HessenbergFunction, m: XYMonomial, steps: list | None = None) -> PTableau:
+    """phi_b1, appending one record per insertion and then the slide to steps
+    if given."""
     h1 = _one_row_h1(h)
     _check_b1_monomial(h, m)
     n = h.n
     col = [n]
     for k in range(n - 1, 0, -1):
         col.insert(m.xexp[k - 1], k)
+        if steps is not None:
+            steps.append({"entry": k, "exponent": m.xexp[k - 1], "column": list(col)})
     kprime = next(k for k in range(1, h1 + 1) if m.xexp[k - 1] == 0)
     if kprime != 1:
         col.remove(kprime)
         col.insert(col.index(1), kprime)
+    if steps is not None:
+        slide = {"entry": kprime, "moved": kprime != 1}
+        if kprime != 1:
+            slide["column"] = list(col)
+        steps.append(slide)
     return _column_tableau(col)
+
+
+def phi_b1(h: HessenbergFunction, m: XYMonomial) -> PTableau:
+    """Insertion above i_k arbitrary entries, then one slide below the 1."""
+    return _insert_b1(h, m)
 
 
 def psi_b1(h: HessenbergFunction, t: PTableau) -> XYMonomial:
@@ -173,9 +193,8 @@ def _parse_b3_element(h: HessenbergFunction, e: XYElement) -> tuple[tuple[int, .
     return exps, plus.y
 
 
-def phi_b3(h: HessenbergFunction, e: XYElement) -> TabPair:
-    """Pairs the y-index with a standard tableau and encodes the exponents as
-    complementary inversion counts in a P-tableau of shape (2, 1^(n-2))."""
+def _insert_b3(h: HessenbergFunction, e: XYElement, steps: list | None = None) -> TabPair:
+    """phi_b3, appending one record per insertion to steps if given."""
     exps, k = _parse_b3_element(h, e)
     h1 = _one_row_h1(h)
     n = h.n
@@ -187,9 +206,17 @@ def phi_b3(h: HessenbergFunction, e: XYElement) -> TabPair:
             continue
         under = (i - 2) - exps[i - 1]
         col.insert(len(col) - under, i)
+        if steps is not None:
+            steps.append({"entry": i, "under": under, "column": list(col)})
     shape = Partition((2,) + (1,) * (n - 2))
     rows = ((1, j),) + tuple((v,) for v in col[1:])
     return TabPair(s, PTableau(shape, rows))
+
+
+def phi_b3(h: HessenbergFunction, e: XYElement) -> TabPair:
+    """Pairs the y-index with a standard tableau and encodes the exponents as
+    complementary inversion counts in a P-tableau of shape (2, 1^(n-2))."""
+    return _insert_b3(h, e)
 
 
 def psi_b3(h: HessenbergFunction, p: TabPair) -> XYElement:
@@ -227,75 +254,41 @@ def _tableau_data(t: PTableau) -> dict:
 
 
 def trace_phi_nilpotent(h: HessenbergFunction, m: XYMonomial) -> dict:
-    _check_nilpotent_monomial(h, m)
-    n = h.n
-    col = [n]
-    steps = []
-    for k in range(n - 1, 0, -1):
-        i = m.xexp[k - 1]
-        if i == 0:
-            col.insert(0, k)
-        else:
-            positions = [p for p, v in enumerate(col) if k < v <= h(k)]
-            col.insert(positions[i - 1] + 1, k)
-        steps.append({"entry": k, "exponent": i, "column": list(col)})
+    steps: list[dict] = []
+    t = _insert_nilpotent(h, m, steps)
     return {
         "map": "nilpotent",
         "h": list(h.values),
         "input": {"x": list(m.xexp)},
         "steps": steps,
-        "output": _tableau_data(_column_tableau(col)),
+        "output": _tableau_data(t),
     }
 
 
 def trace_phi_b1(h: HessenbergFunction, m: XYMonomial) -> dict:
-    h1 = _one_row_h1(h)
-    _check_b1_monomial(h, m)
-    n = h.n
-    col = [n]
-    steps = []
-    for k in range(n - 1, 0, -1):
-        col.insert(m.xexp[k - 1], k)
-        steps.append({"entry": k, "exponent": m.xexp[k - 1], "column": list(col)})
-    kprime = next(k for k in range(1, h1 + 1) if m.xexp[k - 1] == 0)
-    slide = {"entry": kprime, "moved": kprime != 1}
-    if kprime != 1:
-        col.remove(kprime)
-        col.insert(col.index(1), kprime)
-        slide["column"] = list(col)
+    steps: list[dict] = []
+    t = _insert_b1(h, m, steps)
+    slide = steps.pop()
     return {
         "map": "b1",
         "h": list(h.values),
         "input": {"x": list(m.xexp)},
         "steps": steps,
         "slide": slide,
-        "output": _tableau_data(_column_tableau(col)),
+        "output": _tableau_data(t),
     }
 
 
 def trace_phi_b3(h: HessenbergFunction, e: XYElement) -> dict:
-    exps, k = _parse_b3_element(h, e)
-    h1 = _one_row_h1(h)
-    n = h.n
-    s = syt_with_bottom_pair(n, k)
-    j = max(i for i in range(h1 + 1, n + 1) if exps[i - 1] == 0)
-    col = [1]
-    steps = []
-    for i in range(2, n + 1):
-        if i == j:
-            continue
-        under = (i - 2) - exps[i - 1]
-        col.insert(len(col) - under, i)
-        steps.append({"entry": i, "under": under, "column": list(col)})
-    shape = Partition((2,) + (1,) * (n - 2))
-    t = PTableau(shape, ((1, j),) + tuple((v,) for v in col[1:]))
+    steps: list[dict] = []
+    pair = _insert_b3(h, e, steps)
     return {
         "map": "b3",
         "h": list(h.values),
         "input": json.loads(e.to_json()),
-        "k": k,
-        "s": _tableau_data(s),
-        "start": {"bottom_row": [1, j]},
+        "k": pair.s.rows[0][1],
+        "s": _tableau_data(pair.s),
+        "start": {"bottom_row": list(pair.t.rows[0])},
         "steps": steps,
-        "output": json.loads(TabPair(s, t).to_json()),
+        "output": json.loads(pair.to_json()),
     }

@@ -183,18 +183,15 @@ def _cmd_gkm(cfg: RunConfig, args) -> tuple[str, int]:
         data = {
             "h": list(h.values),
             "class": args.dump_class,
-            "values": {
-                "".join(str(v) for v in w): poly.pretty()
-                for w, poly in sorted(c.values.items())
-            },
+            "values": goldens._class_values(c),
             "gkm_condition": holds,
         }
         if bad is not None:
-            data["failing_edge"] = json.loads(_json({
+            data["failing_edge"] = {
                 "u": "".join(str(v) for v in bad.w),
                 "v": "".join(str(v) for v in bad.v),
                 "label": bad.label_str(),
-            }))
+            }
         return _json(data), EXIT_OK
     if args.relations:
         _require_format(cfg.fmt, ("json",))
@@ -329,30 +326,18 @@ def _bijection_inverse(cfg: RunConfig, args) -> tuple[str, int]:
 
 def _bijection_round_trip(cfg: RunConfig, args) -> tuple[str, int]:
     h = cfg.h
-    if args.map == "nilpotent":
-        basis = basis_nilpotent(h)
-        checked = 0
-        ok = True
-        for el in basis.elements:
-            (m,) = el.terms.keys()
-            ok = ok and psi_nilpotent(h, phi_nilpotent(h, m)) == m
-            checked += 1
-    elif args.map == "b1":
-        basis = basis_B1(h)
-        checked = 0
-        ok = True
-        for el in basis.elements:
-            (m,) = el.terms.keys()
-            ok = ok and psi_b1(h, phi_b1(h, m)) == m
-            checked += 1
-    else:
-        basis = basis_B3(h)
-        checked = 0
-        ok = True
-        for el in basis.elements:
-            ok = ok and psi_b3(h, phi_b3(h, el)) == el
-            checked += 1
-    data = {"map": args.map, "h": list(h.values), "count": checked, "all_ok": ok}
+    # Built per call: a module-level table would keep the functions bound at
+    # import time even if this module's attributes are replaced later.
+    basis, phi, psi = {
+        "nilpotent": (basis_nilpotent, phi_nilpotent, psi_nilpotent),
+        "b1": (basis_B1, phi_b1, psi_b1),
+        "b3": (basis_B3, phi_b3, psi_b3),
+    }[args.map]
+    elements = basis(h).elements
+    # The monomial maps act on the single monomial of each basis element.
+    items = elements if args.map == "b3" else [m for el in elements for m in el.terms]
+    ok = all(psi(h, phi(h, x)) == x for x in items)
+    data = {"map": args.map, "h": list(h.values), "count": len(items), "all_ok": ok}
     return _json(data), EXIT_OK if ok else EXIT_VERIFICATION
 
 

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gkm import GkmClass, class_t, class_x, class_y
-from .hessenberg import HessenbergFunction, _one_row_h1, _transpose_m, classify_form
+from .hessenberg import HessenbergFunction, _one_row_h1, _transpose_m, classify_form, transpose
 from .linalg import IntEchelon, bareiss_det
 from .qpoly import QPolynomial
 from .symfunc import DecompositionCounts
@@ -74,8 +74,8 @@ def _y_rank(k: int | None, n: int) -> int:
     return k if k >= 2 else n + 1
 
 
-def _mono_key(m: XYMonomial, ydeg: int) -> tuple:
-    return (m.qdegree(ydeg), tuple(reversed(m.xexp)), _y_rank(m.y, m.n))
+def _mono_key(m: XYMonomial) -> tuple:
+    return (m.xdegree(), tuple(reversed(m.xexp)), _y_rank(m.y, m.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +148,8 @@ class XYElement:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def sorted_terms(self, ydeg: int = 0) -> list[tuple[XYMonomial, int]]:
-        return sorted(self.terms.items(), key=lambda mc: _mono_key(mc[0], ydeg))
+    def sorted_terms(self) -> list[tuple[XYMonomial, int]]:
+        return sorted(self.terms.items(), key=lambda mc: _mono_key(mc[0]))
 
     def pretty(self) -> str:
         if not self.terms:
@@ -337,32 +337,16 @@ def mirror_element(e: XYElement) -> XYElement:
 
 
 def basis_transpose(h: HessenbergFunction) -> tuple[BasisSet, BasisSet, BasisSet]:
-    """The three mirrored bases for h of transpose form."""
-    m = _transpose_m(h)
-    n = h.n
-    ydeg = m - 1
-    b1 = [
-        XYElement.monomial(XYMonomial(exps))
-        for exps in _staircase_monomials([j - 1 for j in range(1, n + 1)])
-        if not _divisible(exps, range(n - m + 1, n + 1))
-    ]
-    xparts = [
-        exps
-        for exps in _staircase_monomials([n - 1 - u for u in range(1, n)] + [0])
-        if not _divisible(exps, range(1, n - m + 1))
-    ]
-    b2 = [
-        XYElement.monomial(XYMonomial(exps, k)) for exps in xparts for k in range(1, n)
-    ]
-    b3 = [
-        XYElement(n, {XYMonomial(exps, k + 1): 1, XYMonomial(exps, 1): -1})
-        for exps in xparts
-        for k in range(1, n)
-    ]
+    """The bases TransposeB1, TransposeB2 and TransposeB3 for h of transpose
+    form ((n-1)^(n-m), n^m): B1, B2 and B3 of the one-row transpose(h) =
+    (m, n, ..., n) under the relabeling x_i <-> x_{n+1-i}, sorted for
+    y-degree m - 1."""
+    ydeg = _transpose_m(h) - 1
+    ht = transpose(h)
     sets = []
-    for label, elems in (("TransposeB1", b1), ("TransposeB2", b2), ("TransposeB3", b3)):
-        elems = sorted(elems, key=lambda e: _element_key(e, ydeg))
-        sets.append(BasisSet(label, h, tuple(elems)))
+    for b in (basis_B1(ht), basis_B2(ht), basis_B3(ht)):
+        elems = sorted(map(mirror_element, b.elements), key=lambda e: _element_key(e, ydeg))
+        sets.append(BasisSet("Transpose" + b.label, h, tuple(elems)))
     return tuple(sets)
 
 
@@ -601,8 +585,6 @@ def transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
 
 def transpose_transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
     """Blocks for a transpose-form h via the x_i <-> x_{n+1-i} relabeling."""
-    from .hessenberg import transpose
-
     _transpose_m(h)
     blocks = transition_blocks(transpose(h))
     return [

@@ -238,34 +238,26 @@ def _supported_product(n: int, k: int, w: Perm, positions) -> IntPoly:
     return product(n, (tk - IntPoly.var(n, w[p - 1]) for p in positions))
 
 
-def class_y_one_row(h: HessenbergFunction, k: int) -> GkmClass:
-    """Supported on w(1) = k with value prod_{l=2}^{h(1)} (t_k - t_{w(l)})."""
+def _class_y(h: HessenbergFunction, k: int, pin: int, factors) -> GkmClass:
+    """Supported on w(pin) = k with value prod_{l in factors} (t_k - t_{w(l)})."""
     n = h.n
-    h1 = _one_row_h1(h)
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
-    vals = {}
-    for w in all_permutations(n):
-        if w[0] == k:
-            vals[w] = _supported_product(n, k, w, range(2, h1 + 1))
-        else:
-            vals[w] = IntPoly.zero(n)
-    return GkmClass(n, vals)
+    zero = IntPoly.zero(n)
+    return GkmClass(n, {
+        w: _supported_product(n, k, w, factors) if w[pin - 1] == k else zero
+        for w in all_permutations(n)
+    })
+
+
+def class_y_one_row(h: HessenbergFunction, k: int) -> GkmClass:
+    """Supported on w(1) = k with value prod_{l=2}^{h(1)} (t_k - t_{w(l)})."""
+    return _class_y(h, k, 1, range(2, _one_row_h1(h) + 1))
 
 
 def class_y_transpose(h: HessenbergFunction, k: int) -> GkmClass:
     """Supported on w(n) = k with value prod_{l=n-m+1}^{n-1} (t_k - t_{w(l)})."""
-    n = h.n
-    m = _transpose_m(h)
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside 1..{n}")
-    vals = {}
-    for w in all_permutations(n):
-        if w[n - 1] == k:
-            vals[w] = _supported_product(n, k, w, range(n - m + 1, n))
-        else:
-            vals[w] = IntPoly.zero(n)
-    return GkmClass(n, vals)
+    return _class_y(h, k, h.n, range(h.n - _transpose_m(h) + 1, h.n))
 
 
 def class_y(h: HessenbergFunction, k: int) -> GkmClass:

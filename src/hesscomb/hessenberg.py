@@ -106,27 +106,33 @@ class FormTag:
         return self.one_row_h1 is not None and self.one_row_h1 == self.transpose_m
 
 
+# h is weakly increasing and bounded by n, so h(2) = n forces every later value
+# to n, and h(1) >= n - 1 forces every value to n - 1 or n.
+def _is_one_row(h: HessenbergFunction) -> bool:
+    return h.n == 1 or h.values[1] == h.n
+
+
+def _is_transpose(h: HessenbergFunction) -> bool:
+    return h.values[0] >= h.n - 1
+
+
 def classify_form(h: HessenbergFunction) -> FormTag:
-    n = h.n
-    one_row = h.values[0] if all(v == n for v in h.values[1:]) else None
-    transpose_m: int | None = None
-    if all(v >= n - 1 for v in h.values):
-        transpose_m = sum(1 for v in h.values if v == n)
-    return FormTag(one_row_h1=one_row, transpose_m=transpose_m)
+    return FormTag(
+        one_row_h1=h.values[0] if _is_one_row(h) else None,
+        transpose_m=h.values.count(h.n) if _is_transpose(h) else None,
+    )
 
 
 def _one_row_h1(h: HessenbergFunction) -> int:
-    tag = classify_form(h)
-    if tag.one_row_h1 is None:
+    if not _is_one_row(h):
         raise FormMismatch(f"h={h} is not of the form (h(1), n, ..., n)")
-    return tag.one_row_h1
+    return h.values[0]
 
 
 def _transpose_m(h: HessenbergFunction) -> int:
-    tag = classify_form(h)
-    if tag.transpose_m is None:
+    if not _is_transpose(h):
         raise FormMismatch(f"h={h} is not of the form ((n-1)^(n-m), n^m)")
-    return tag.transpose_m
+    return h.values.count(h.n)
 
 
 @dataclass(frozen=True)

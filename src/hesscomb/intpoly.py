@@ -41,10 +41,6 @@ class IntPoly:
         e[i - 1] = 1
         return cls(nvars, {tuple(e): 1})
 
-    @classmethod
-    def monomial(cls, exps: tuple[int, ...], c: int = 1) -> "IntPoly":
-        return cls(len(exps), {tuple(exps): c})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -1,10 +1,11 @@
 """Poincare polynomials computed by independent routes and reconciled.
 
 For one-row h the closed form is h(1)_q (n-1)_q! + (n-1) q^(h(1)-1)
-(n-h(1))_q (n-2)_q!.  The tableau route sums inversion generating functions
-against standard-tableau counts and works for every h; the basis route adds
-the degree generating functions of B1 and B3; the GKM route computes graded
-ranks of the quotient model (small n only).
+(n-h(1))_q (n-2)_q!.  The tableau route reads the Schur coefficients of the
+chromatic quasisymmetric function from P-tableaux (csf_schur_by_ptableaux) and
+weights each by its standard-tableau count; it works for every h.  The basis
+route adds the degree generating functions of B1 and B3; the GKM route
+computes graded ranks of the quotient model (small n only).
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 from .cohomology import basis_B1, basis_B3, degree_gf
 from .errors import FormMismatch, OutOfRange
 from .gkm import box_counts, graded_quotient_rank
-from .hessenberg import HessenbergFunction, classify_form
+from .hessenberg import HessenbergFunction, _one_row_h1
 from .qpoly import QPolynomial, q_factorial, q_int
-from .symfunc import partitions_of
-from .tableaux import count_syt, enumerate_p_tableaux, inversions
+from .symfunc import csf_schur_by_ptableaux
+from .tableaux import count_syt
 
 GKM_MAX_N = 4
 
@@ -49,10 +50,7 @@ class PoincareReport:
 
 def closed_form(h: HessenbergFunction) -> QPolynomial:
     """h(1)_q (n-1)_q! + (n-1) q^(h(1)-1) (n-h(1))_q (n-2)_q!."""
-    tag = classify_form(h)
-    if tag.one_row_h1 is None:
-        raise FormMismatch(f"h={h} is not of the form (h(1), n, ..., n)")
-    h1, n = tag.one_row_h1, h.n
+    h1, n = _one_row_h1(h), h.n
     first = q_int(h1) * q_factorial(n - 1)
     second = (
         QPolynomial.from_int(n - 1)
@@ -64,17 +62,11 @@ def closed_form(h: HessenbergFunction) -> QPolynomial:
 
 
 def via_ptableaux(h: HessenbergFunction) -> QPolynomial:
-    """Sum over partitions of the inversion generating function times the
-    number of standard tableaux of that shape."""
+    """Sum over partitions lam of the s_lam coefficient of the P-tableau Schur
+    expansion times the number of standard tableaux of shape lam."""
     total = QPolynomial.zero()
-    for shape in partitions_of(h.n):
-        tabs = enumerate_p_tableaux(h, shape)
-        if not tabs:
-            continue
-        gf = QPolynomial.zero()
-        for t in tabs:
-            gf = gf + QPolynomial.q(inversions(h, t).count)
-        total = total + gf * QPolynomial.from_int(count_syt(shape))
+    for shape, gf in csf_schur_by_ptableaux(h).terms.items():
+        total = total + gf * count_syt(shape)
     return total
 
 
@@ -83,10 +75,10 @@ def via_basis_degrees(h: HessenbergFunction) -> QPolynomial:
     return degree_gf(basis_B1(h)) + degree_gf(basis_B3(h))
 
 
-def via_gkm(h: HessenbergFunction, max_n: int = GKM_MAX_N) -> QPolynomial:
-    """Graded ranks of the GKM quotient model; guarded to small n."""
-    if h.n > max_n:
-        raise OutOfRange(f"GKM ranks guarded to n <= {max_n}, got n = {h.n}")
+def via_gkm(h: HessenbergFunction) -> QPolynomial:
+    """Graded ranks of the GKM quotient model; guarded to n <= GKM_MAX_N."""
+    if h.n > GKM_MAX_N:
+        raise OutOfRange(f"GKM ranks guarded to n <= {GKM_MAX_N}, got n = {h.n}")
     top = sum(box_counts(h))
     coeffs = {}
     for d in range(top + 1):

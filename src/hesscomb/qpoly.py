@@ -96,18 +96,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "QPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = QPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __call__(self, value: int) -> int:
         return sum(c * value**e for e, c in self.coeffs.items())
 

@@ -30,7 +30,7 @@ from hesscomb.cohomology import (
 )
 from hesscomb.errors import InvalidPair, NotInBasis, NotPTableau
 from hesscomb.goldens import lookup
-from hesscomb.hessenberg import all_hessenberg_functions, new_hessenberg
+from hesscomb.hessenberg import all_hessenberg_functions, classify_form, new_hessenberg
 from hesscomb.tableaux import (
     Partition,
     PTableau,
@@ -192,6 +192,23 @@ def test_trace_b1_no_slide():
     trace = trace_phi_b1(h, m)
     assert trace["slide"] == {"entry": 1, "moved": False}
     assert trace["output"] == json.loads(phi_b1(h, m).to_json())
+
+
+def test_traces_match_maps_on_every_basis_element():
+    """Each trace reports its map's image, and the inverse undoes it, for every
+    basis element with n <= 6: nilpotent for all h, B1 and B3 for one-row h."""
+    for n in range(1, 7):
+        for h in all_hessenberg_functions(n):
+            cases = [(basis_nilpotent(h), phi_nilpotent, psi_nilpotent, trace_phi_nilpotent)]
+            if classify_form(h).is_one_row:
+                cases.append((basis_B1(h), phi_b1, psi_b1, trace_phi_b1))
+                cases.append((basis_B3(h), phi_b3, psi_b3, trace_phi_b3))
+            for basis, phi, psi, trace in cases:
+                for e in basis.elements:
+                    x = e if phi is phi_b3 else next(iter(e.terms))
+                    image = phi(h, x)
+                    assert trace(h, x)["output"] == json.loads(image.to_json())
+                    assert psi(h, image) == x
 
 
 # --- error paths -----------------------------------------------------------------

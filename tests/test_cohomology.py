@@ -18,6 +18,7 @@ from hesscomb.cohomology import (
     TransitionBlock,
     XYElement,
     XYMonomial,
+    _element_key,
     basis_B1,
     basis_B2,
     basis_B3,
@@ -290,6 +291,55 @@ def test_degree_generating_functions():
             for k in range(1, n + 1):
                 expected = expected * q_int(h(k) - k + 1)
             assert degree_gf(basis_nilpotent(h)) == expected
+
+
+def explicit_basis_transpose(h):
+    """Reference construction of the transpose bases from their own staircase
+    bounds: x_i up to i-1 avoiding x_{n-m+1}...x_n for TransposeB1; x-parts
+    with x_i up to n-1-i (none on x_n) avoiding x_1...x_{n-m}, times y_k or
+    y_{k+1} - y_1, for TransposeB2 and TransposeB3."""
+    n = h.n
+    m = classify_form(h).transpose_m
+
+    def staircase(bounds):
+        ranges = [range(b + 1) for b in reversed(bounds)]
+        return [tuple(reversed(exps)) for exps in itertools.product(*ranges)]
+
+    def divisible(exps, positions):
+        return all(exps[p - 1] >= 1 for p in positions)
+
+    b1 = [
+        mono(exps)
+        for exps in staircase([j - 1 for j in range(1, n + 1)])
+        if not divisible(exps, range(n - m + 1, n + 1))
+    ]
+    xparts = [
+        exps
+        for exps in staircase([n - 1 - u for u in range(1, n)] + [0])
+        if not divisible(exps, range(1, n - m + 1))
+    ]
+    b2 = [mono(exps, k) for exps in xparts for k in range(1, n)]
+    b3 = [
+        XYElement(n, {XYMonomial(exps, k + 1): 1, XYMonomial(exps, 1): -1})
+        for exps in xparts
+        for k in range(1, n)
+    ]
+    out = []
+    for label, elems in (("TransposeB1", b1), ("TransposeB2", b2), ("TransposeB3", b3)):
+        elems = sorted(elems, key=lambda e: _element_key(e, m - 1))
+        out.append((label, h, tuple(elems)))
+    return out
+
+
+def test_basis_transpose_matches_explicit_construction():
+    """The mirrored one-row bases equal the explicit construction: labels,
+    elements and order, for every transpose-form h with n <= 6."""
+    for n in range(1, 7):
+        for h in all_hessenberg_functions(n):
+            if not classify_form(h).is_transpose:
+                continue
+            got = [(b.label, b.h, b.elements) for b in basis_transpose(h)]
+            assert got == explicit_basis_transpose(h), h
 
 
 def test_transpose_degree_gf_matches_one_row_poincare():

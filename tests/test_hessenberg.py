@@ -6,6 +6,8 @@ import pytest
 from hesscomb import (
     BelowDiagonal,
     EmptyInput,
+    FormMismatch,
+    FormTag,
     NotWeaklyIncreasing,
     OutOfRange,
     all_hessenberg_functions,
@@ -17,6 +19,7 @@ from hesscomb import (
     poset_of,
     transpose,
 )
+from hesscomb.hessenberg import _one_row_h1, _transpose_m
 
 
 def test_new_hessenberg_accepts_valid():
@@ -60,6 +63,24 @@ def test_classify_form_examples():
     assert full.is_one_row and full.is_transpose and full.is_full_flag
     gen = classify_form(new_hessenberg([2, 3, 4, 4]))
     assert gen.is_general and not gen.is_one_row and not gen.is_transpose
+
+
+def test_classify_form_matches_definitions():
+    """The O(1) reading of h's form against the literal definitions: one-row
+    when h(i) = n for every i >= 2, transpose form when every h(i) >= n - 1
+    with m the number of values equal to n."""
+    for n in range(1, 9):
+        for h in all_hessenberg_functions(n):
+            v = h.values
+            h1 = v[0] if all(x == n for x in v[1:]) else None
+            m = v.count(n) if all(x >= n - 1 for x in v) else None
+            assert classify_form(h) == FormTag(h1, m), v
+            for read, want in ((_one_row_h1, h1), (_transpose_m, m)):
+                if want is None:
+                    with pytest.raises(FormMismatch):
+                        read(h)
+                else:
+                    assert read(h) == want
 
 
 def test_classify_transpose_of_one_row():

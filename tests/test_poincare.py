@@ -57,8 +57,6 @@ def test_gkm_route_guard():
     h = one_row(5, 2)
     with pytest.raises(OutOfRange):
         via_gkm(h)
-    with pytest.raises(OutOfRange):
-        via_gkm(h, max_n=4)
 
 
 def test_total_dimension_is_factorial():
