@@ -38,7 +38,7 @@ from .cohomology import (
     basis_transpose,
     transition_blocks,
 )
-from .errors import GuardrailExceeded, HesscombError, KOutOfRange, UnsupportedFormat
+from .errors import GuardrailExceeded, HesscombError, UnsupportedFormat
 from .gkm import (
     build_gkm_graph,
     check_gkm_condition,
@@ -51,7 +51,7 @@ from .gkm import (
 )
 from .hessenberg import HessenbergFunction, inc_graph, new_hessenberg
 from .poincare import reconcile
-from .symfunc import change_basis, csf_by_coloring, is_positive, omega
+from .symfunc import DEGREE_BOUND, change_basis, csf_by_coloring, is_positive, omega
 from .tableaux import Partition, PTableau, enumerate_p_tableaux, inversions, syt_with_bottom_pair
 
 EXIT_OK = 0
@@ -366,11 +366,11 @@ def _cmd_verify_goldens(cfg: RunConfig) -> tuple[str, int]:
     return _json(data), EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
-def _add_common(p: argparse.ArgumentParser, *, needs_h: bool) -> None:
+def _add_common(p: argparse.ArgumentParser, *, needs_h: bool, max_n: int = DEFAULT_MAX_N) -> None:
     p.add_argument("--h", dest="h_values", required=needs_h, help="Hessenberg function as a comma list, e.g. 2,3,3")
     p.add_argument("--shape", help="partition as a comma list, e.g. 2,1,1,1")
     p.add_argument("--format", dest="fmt", default="json", choices=("json", "csv", "latex", "dot"))
-    p.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_MAX_N)
+    p.add_argument("--max-n", dest="max_n", type=int, default=max_n)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -391,7 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("csf", help="chromatic quasisymmetric function report"), needs_h=True)
+    # csf sums colorings by a subset DP (3^n steps), so it runs up to the
+    # basis changes' DEGREE_BOUND rather than the n! walks' DEFAULT_MAX_N.
+    _add_common(
+        sub.add_parser("csf", help="chromatic quasisymmetric function report"),
+        needs_h=True,
+        max_n=DEGREE_BOUND,
+    )
     _add_common(sub.add_parser("poincare", help="Poincare polynomial reconciliation"), needs_h=True)
     _add_common(sub.add_parser("tableaux", help="enumerate P-tableaux with inversions"), needs_h=True)
 

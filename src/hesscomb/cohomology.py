@@ -24,7 +24,7 @@ from .errors import (
     NotSquare,
     ShapeMismatch,
 )
-from .gkm import GkmClass, class_t, class_x, class_y
+from .gkm import GkmClass, class_x, class_y
 from .hessenberg import HessenbergFunction, _one_row_h1, _transpose_m, classify_form, transpose
 from .linalg import IntEchelon, bareiss_det
 from .qpoly import QPolynomial

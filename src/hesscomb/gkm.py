@@ -33,10 +33,6 @@ def all_permutations(n: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def inverse_perm(w: Perm) -> Perm:
     out = [0] * len(w)
     for pos, val in enumerate(w):
@@ -87,9 +83,6 @@ class GkmGraph:
     @property
     def n(self) -> int:
         return self.h.n
-
-    def degree_of(self, w: Perm) -> int:
-        return sum(1 for e in self.edges if e.w == w or e.v == w)
 
     def to_dot(self) -> str:
         lines = ["graph gkm {", "  node [shape=plaintext];"]

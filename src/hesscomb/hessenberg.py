@@ -101,10 +101,6 @@ class FormTag:
     def is_general(self) -> bool:
         return not (self.is_one_row or self.is_transpose)
 
-    @property
-    def is_full_flag(self) -> bool:
-        return self.one_row_h1 is not None and self.one_row_h1 == self.transpose_m
-
 
 # h is weakly increasing and bounded by n, so h(2) = n forces every later value
 # to n, and h(1) >= n - 1 forces every value to n - 1 or n.
@@ -167,9 +163,6 @@ class IncGraph:
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
 
 
 def inc_graph(p: PosetPh | HessenbergFunction) -> IncGraph:

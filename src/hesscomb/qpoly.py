@@ -106,10 +106,6 @@ class QPolynomial:
     def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
-    def shift(self, k: int) -> "QPolynomial":
-        """Multiply by q^k."""
-        return QPolynomial({e + k: c for e, c in self.coeffs.items()})
-
     def is_palindromic(self) -> bool:
         """Coefficients read the same from both ends of [0, degree]."""
         d = self.degree()

@@ -254,47 +254,62 @@ def csf_by_coloring(g: IncGraph) -> SymFn:
     """Sum over proper colorings of q^(ascents) times the color monomial.
 
     Ascents are counted on graph edges {i < j} with color(i) < color(j).
-    Colors 1..n suffice to determine every monomial coefficient in degree n.
+    A proper coloring is a sequence of nonempty stable sets, its color
+    classes in increasing color order, so the sum is a dynamic programme over
+    vertex bitmasks: states[mask] maps the composition of class sizes so far
+    to {ascents: count} over the ways to cover mask.  Masks are visited in
+    increasing order, and each step appends a nonempty stable set S outside
+    mask as the next class; every edge from a vertex of S down to a smaller
+    vertex in mask is then an ascent.  That is at most 3^n steps over at most
+    2^(n-1) compositions per mask.
+
+    The coefficient of x^alpha depends only on alpha with its zeros deleted,
+    because an order-preserving relabelling of colors keeps properness and
+    ascents.  Properness ignores the order of colors, so the compositions
+    present are closed under rearrangement.  Comparing each composition with
+    its sorted partition therefore checks symmetry completely; NotSymmetric
+    names the first that differs, padded with zeros to n colors.
     """
     n = g.n
-    neighbors: list[list[int]] = [[] for _ in range(n + 1)]
+    full = (1 << n) - 1
+    below = [0] * n  # below[v]: neighbors u < v, as a bitmask of 0-based vertices
     for i, j in g.edges:
-        neighbors[j].append(i)
-    by_content: dict[tuple[int, ...], dict[int, int]] = {}
-    coloring = [0] * (n + 1)
-
-    def assign(v: int, asc: int) -> None:
-        if v > n:
-            counts = [0] * n
-            for u in range(1, n + 1):
-                counts[coloring[u] - 1] += 1
-            key = tuple(counts)
-            acc = by_content.setdefault(key, {})
-            acc[asc] = acc.get(asc, 0) + 1
-            return
-        for color in range(1, n + 1):
-            if any(coloring[u] == color for u in neighbors[v]):
-                continue
-            gained = sum(1 for u in neighbors[v] if coloring[u] < color)
-            coloring[v] = color
-            assign(v + 1, asc + gained)
-            coloring[v] = 0
-
-    assign(1, 0)
-    terms: dict[Partition, QPolynomial] = {}
-    for lam in partitions_of(n):
-        key = tuple(lam.parts) + (0,) * (n - len(lam.parts))
-        if key in by_content:
-            terms[lam] = QPolynomial(by_content[key])
-    # Symmetry consistency: every rearrangement of a content vector must
-    # carry the same q-polynomial as its sorted representative.
-    for key, acc in by_content.items():
-        lam = Partition(tuple(sorted((c for c in key if c), reverse=True)))
-        expect = terms.get(lam, QPolynomial.zero())
-        if QPolynomial(acc) != expect:
-            raise NotSymmetric(
-                f"content {key} carries {QPolynomial(acc)}, expected {expect}"
-            )
+        below[j - 1] |= 1 << (i - 1)
+    # A set is stable when it is empty, or its highest vertex v has no
+    # neighbor below it in the set and the rest is stable.
+    stable = [True] * (full + 1)
+    for s in range(1, full + 1):
+        v = s.bit_length() - 1
+        rest = s ^ (1 << v)
+        stable[s] = stable[rest] and not below[v] & rest
+    states: list[dict[tuple[int, ...], dict[int, int]]] = [{} for _ in range(full + 1)]
+    states[0][()] = {0: 1}
+    for mask in range(full):
+        here = states[mask]
+        free = full ^ mask
+        s = free
+        while s:
+            if stable[s]:
+                gained = sum((below[v] & mask).bit_count() for v in range(n) if s >> v & 1)
+                size = s.bit_count()
+                there = states[mask | s]
+                for comp, poly in here.items():
+                    acc = there.setdefault(comp + (size,), {})
+                    for asc, count in poly.items():
+                        acc[asc + gained] = acc.get(asc + gained, 0) + count
+            s = (s - 1) & free
+    by_composition = states[full]
+    terms = {
+        lam: QPolynomial(by_composition[lam.parts])
+        for lam in partitions_of(n)
+        if lam.parts in by_composition
+    }
+    for comp, acc in by_composition.items():
+        got = QPolynomial(acc)
+        expect = terms.get(Partition(tuple(sorted(comp, reverse=True))), QPolynomial.zero())
+        if got != expect:
+            content = comp + (0,) * (n - len(comp))
+            raise NotSymmetric(f"content {content} carries {got}, expected {expect}")
     return SymFn(n, "monomial", terms)
 
 

@@ -169,9 +169,6 @@ class InversionData:
     def count(self) -> int:
         return len(self.pairs)
 
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
-
 
 def inversions(h: HessenbergFunction, t: PTableau) -> InversionData:
     """P-inversions: i < j, incomparable, with i strictly above j."""

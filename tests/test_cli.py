@@ -242,6 +242,19 @@ def test_guardrail(capsys):
     assert data["count"] == 1
 
 
+def test_csf_guardrail_defaults_to_degree_bound(capsys):
+    from hesscomb.symfunc import csf_schur_by_ptableaux
+
+    code, data = run_json(capsys, ["csf", "--h", "3,3,4,5,6,7,8,8"])
+    assert code == 0
+    expected = csf_schur_by_ptableaux(new_hessenberg([3, 3, 4, 5, 6, 7, 8, 8]))
+    assert data["schur"] == json.loads(expected.to_json())["terms"]
+    code, data = run_json(capsys, ["csf", "--h", "9,9,9,9,9,9,9,9,9"])
+    assert code == 2
+    assert data["error"]["type"] == "GuardrailExceeded"
+    assert "guardrail of 8" in data["error"]["message"]
+
+
 def test_validation_errors(capsys):
     code, data = run_json(capsys, ["poincare", "--h", "2,x,3"])
     assert code == 2

@@ -31,7 +31,7 @@ from hesscomb import (
     sn_fixed_rank,
     verify_relations,
 )
-from hesscomb.gkm import compose, identity_perm, inverse_perm
+from hesscomb.gkm import compose, inverse_perm
 
 
 def one_row(n, h1):
@@ -54,10 +54,10 @@ def test_graph_shapes():
     g = build_gkm_graph(H233)
     assert len(g.vertices) == 6
     assert len(g.edges) == 6
-    assert all(g.degree_of(w) == 2 for w in g.vertices)
+    assert all(sum(w in (e.w, e.v) for e in g.edges) == 2 for w in g.vertices)
     g_full = build_gkm_graph(new_hessenberg([3, 3, 3]))
     assert len(g_full.edges) == 9
-    assert all(g_full.degree_of(w) == 3 for w in g_full.vertices)
+    assert all(sum(w in (e.w, e.v) for e in g_full.edges) == 3 for w in g_full.vertices)
     assert not build_gkm_graph(new_hessenberg([1, 2, 3])).edges
 
 
@@ -163,7 +163,7 @@ def test_perturbed_class_fails_with_witness():
 
 
 def test_dot_action_identity_and_x_invariance():
-    e = identity_perm(3)
+    e = (1, 2, 3)
     c = class_y_one_row(H233, 2)
     assert dot_action(e, c) == c
     for v in all_permutations(3):

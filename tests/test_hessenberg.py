@@ -60,7 +60,7 @@ def test_classify_form_examples():
     tag = classify_form(new_hessenberg([2, 3, 3]))
     assert tag.is_one_row and tag.is_transpose and not tag.is_general
     full = classify_form(new_hessenberg([3, 3, 3]))
-    assert full.is_one_row and full.is_transpose and full.is_full_flag
+    assert full.is_one_row and full.is_transpose and full.one_row_h1 == full.transpose_m
     gen = classify_form(new_hessenberg([2, 3, 4, 4]))
     assert gen.is_general and not gen.is_one_row and not gen.is_transpose
 

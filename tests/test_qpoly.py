@@ -35,7 +35,7 @@ def test_arithmetic_examples():
     assert p == QPolynomial({0: 1, 1: 2, 2: 1})
     assert p - p == QPolynomial.zero()
     assert (p * q_int(2))(1) == 8
-    assert QPolynomial.q(2).shift(3) == QPolynomial.q(5)
+    assert QPolynomial.q(2) * QPolynomial.q(3) == QPolynomial.q(5)
 
 
 def test_degree_and_coefficient():

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from functools import cache
 
 import pytest
@@ -10,6 +11,7 @@ from hesscomb import (
     BasisMismatch,
     DegreeTooLarge,
     IncGraph,
+    NotSymmetric,
     Partition,
     QPolynomial,
     SymFn,
@@ -341,7 +343,7 @@ def _proper_coloring_count(h) -> int:
     return sum(
         1
         for kappa in product(range(1, n + 1), repeat=n)
-        if all(kappa[i - 1] != kappa[j - 1] for i, j in g.sorted_edges())
+        if all(kappa[i - 1] != kappa[j - 1] for i, j in sorted(g.edges))
     )
 
 
@@ -381,3 +383,149 @@ def test_at_q_and_pretty():
     g = f.at_q(1)
     assert g.coefficient(Partition((1, 1, 1)))(1) == 4
     assert "s(" in f.pretty()
+
+
+# --- reference route for csf_by_coloring --------------------------------------
+# Walk every proper coloring of the vertices 1..n, in order, with colors 1..n,
+# and tally q^(ascents) by content vector.  This shares nothing with the
+# stable-set dynamic programme in the library.
+
+
+def _brute_force_contents(g: IncGraph) -> dict[tuple[int, ...], QPolynomial]:
+    """Content vector -> sum of q^(ascents) over the colorings with it."""
+    n = g.n
+    neighbors: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, j in g.edges:
+        neighbors[j].append(i)
+    by_content: dict[tuple[int, ...], dict[int, int]] = {}
+    coloring = [0] * (n + 1)
+
+    def assign(v: int, asc: int) -> None:
+        if v > n:
+            counts = [0] * n
+            for u in range(1, n + 1):
+                counts[coloring[u] - 1] += 1
+            acc = by_content.setdefault(tuple(counts), {})
+            acc[asc] = acc.get(asc, 0) + 1
+            return
+        for color in range(1, n + 1):
+            if any(coloring[u] == color for u in neighbors[v]):
+                continue
+            gained = sum(1 for u in neighbors[v] if coloring[u] < color)
+            coloring[v] = color
+            assign(v + 1, asc + gained)
+            coloring[v] = 0
+
+    assign(1, 0)
+    return {key: QPolynomial(acc) for key, acc in by_content.items()}
+
+
+def _sorted_content(key: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(key, reverse=True))
+
+
+def _csf_brute_force(g: IncGraph) -> SymFn:
+    """The monomial expansion read off the sorted content vectors; raises
+    NotSymmetric if any rearrangement carries a different q-polynomial."""
+    contents = _brute_force_contents(g)
+    for key, poly in contents.items():
+        if poly != contents.get(_sorted_content(key), QPolynomial.zero()):
+            raise NotSymmetric(f"content {key}")
+    return SymFn(
+        g.n,
+        "monomial",
+        {Partition(tuple(c for c in key if c)): poly
+         for key, poly in contents.items() if key == _sorted_content(key)},
+    )
+
+
+def _assert_csf_matches_brute_force(graphs) -> int:
+    """Both routes give the same SymFn or both raise NotSymmetric; returns
+    the number of graphs on which both raised.
+
+    A reversed ascent convention maps every composition to its reverse, which
+    keeps both verdicts, so the content named by NotSymmetric is checked
+    against the colorings too.
+    """
+    raised = 0
+    for g in graphs:
+        try:
+            got = csf_by_coloring(g)
+        except NotSymmetric as exc:
+            # The named content and its sorted form differ in the colorings
+            # too, so the oracle would raise as well.
+            found = re.fullmatch(r"content \(([\d, ]+)\) carries (.+), expected (.+)", str(exc))
+            key = tuple(int(c) for c in found[1].split(","))
+            contents = _brute_force_contents(g)
+            assert str(contents[key]) == found[2] != found[3], g
+            assert str(contents.get(_sorted_content(key), QPolynomial.zero())) == found[3], g
+            raised += 1
+            continue
+        assert got == _csf_brute_force(g), g
+    return raised
+
+
+def _labelled_graphs(n: int):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for bits in range(1 << len(pairs)):
+        yield IncGraph(n, frozenset(p for k, p in enumerate(pairs) if bits >> k & 1))
+
+
+def test_csf_matches_brute_force_all_graphs_n4():
+    graphs = [g for n in range(1, 5) for g in _labelled_graphs(n)]
+    assert len(graphs) == 1 + 2 + 8 + 64
+    # Both verdicts occur, so the sweep exercises the symmetry check too.
+    raised = _assert_csf_matches_brute_force(graphs)
+    assert 0 < raised < len(graphs)
+
+
+def test_csf_matches_brute_force_random_graphs_n5():
+    rng = random.Random(5150)
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    graphs = [
+        IncGraph(5, frozenset(p for p in pairs if rng.random() < 0.5))
+        for _ in range(200)
+    ]
+    _assert_csf_matches_brute_force(graphs)
+
+
+def test_csf_matches_brute_force_hessenberg_n5():
+    graphs = [inc_graph(h) for n in range(1, 6) for h in all_hessenberg_functions(n)]
+    assert _assert_csf_matches_brute_force(graphs) == 0
+
+
+# The n = 6 shapes served by perfbench's service-mix workload.
+SERVICE_MIX_N6 = ((2, 4, 6, 6, 6, 6), (3, 4, 5, 6, 6, 6), (3, 6, 6, 6, 6, 6), (4, 6, 6, 6, 6, 6))
+
+
+def test_csf_matches_brute_force_service_mix_n6():
+    graphs = [inc_graph(new_hessenberg(h)) for h in SERVICE_MIX_N6]
+    assert _assert_csf_matches_brute_force(graphs) == 0
+
+
+def test_csf_not_symmetric_names_the_bad_content():
+    # Vertex 1 is adjacent to both ends of the non-edge {2, 3}: the class {1}
+    # before the class {2, 3} gains two ascents, the reverse order none.
+    g = IncGraph(3, frozenset({(1, 2), (1, 3)}))
+    with pytest.raises(NotSymmetric, match=r"content \(1, 2, 0\) carries q\^2, expected 1$"):
+        csf_by_coloring(g)
+    with pytest.raises(NotSymmetric):
+        _csf_brute_force(g)
+
+
+@pytest.mark.long
+def test_csf_matches_brute_force_all_graphs_n5():
+    _assert_csf_matches_brute_force(_labelled_graphs(5))
+
+
+@pytest.mark.long
+def test_csf_matches_brute_force_hessenberg_n6():
+    graphs = [inc_graph(h) for h in all_hessenberg_functions(6)]
+    assert _assert_csf_matches_brute_force(graphs) == 0
+
+
+@pytest.mark.long
+def test_csf_matches_brute_force_service_mix_n7():
+    shapes = ((5, 7, 7, 7, 7, 7, 7), (2, 4, 6, 7, 7, 7, 7), (3, 4, 5, 6, 7, 7, 7))
+    graphs = [inc_graph(new_hessenberg(h)) for h in shapes]
+    assert _assert_csf_matches_brute_force(graphs) == 0
