@@ -23,9 +23,18 @@ from .errors import (
     NotInBasis,
     NotSquare,
     ShapeMismatch,
+    json_decoder,
 )
 from .gkm import GkmClass, class_x, class_y
-from .hessenberg import HessenbergFunction, _one_row_h1, _transpose_m, classify_form, transpose
+from .hessenberg import (
+    HessenbergFunction,
+    YForm,
+    _one_row_h1,
+    _transpose_m,
+    classify_form,
+    transpose,
+    y_form,
+)
 from .linalg import IntEchelon, bareiss_det
 from .qpoly import QPolynomial
 from .symfunc import DecompositionCounts
@@ -180,8 +189,8 @@ class XYElement:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "XYElement":
-        data = json.loads(text)
+    @json_decoder("an element")
+    def from_json(cls, data) -> "XYElement":
         terms: dict[XYMonomial, int] = {}
         n = None
         for t in data["terms"]:
@@ -193,10 +202,17 @@ class XYElement:
         return cls(n, terms)
 
 
+def _check_n(n: int, h: HessenbergFunction) -> None:
+    if n != h.n:
+        raise ShapeMismatch(f"{n} variables, but h = {h} has n = {h.n}")
+
+
 def multiply(h: HessenbergFunction, a: XYElement, b: XYElement) -> XYElement:
     """Full product in the quotient ring, reducing y*y pairs as it goes."""
     h1 = _one_row_h1(h)
     n = h.n
+    _check_n(a.n, h)
+    _check_n(b.n, h)
     acc: dict[XYMonomial, int] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
@@ -220,20 +236,19 @@ def multiply(h: HessenbergFunction, a: XYElement, b: XYElement) -> XYElement:
 
 @dataclass(frozen=True)
 class BasisSet:
+    """Basis elements of one presentation; form names the y-classes their y
+    factors stand for (None for the pure-x nilpotent basis)."""
+
     label: str
     h: HessenbergFunction
     elements: tuple[XYElement, ...]
+    form: YForm | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def y_degree(self) -> int:
-        tag = classify_form(self.h)
-        if self.label.startswith("Transpose"):
-            return tag.transpose_m - 1
-        if self.label == "Nh":
-            return 0
-        return tag.one_row_h1 - 1
+        return len(self.form.factors) if self.form else 0
 
     def degrees(self) -> list[int]:
         ydeg = self.y_degree()
@@ -274,7 +289,7 @@ def basis_B1(h: HessenbergFunction) -> BasisSet:
     ]
     elems = [XYElement.monomial(m) for m in monos]
     elems.sort(key=lambda e: _element_key(e, h1 - 1))
-    return BasisSet("B1", h, tuple(elems))
+    return BasisSet("B1", h, tuple(elems), y_form(h, "one-row"))
 
 
 def _y_sector_xparts(h: HessenbergFunction) -> list[tuple[int, ...]]:
@@ -299,7 +314,7 @@ def basis_B2(h: HessenbergFunction) -> BasisSet:
         for k in range(1, n)
     ]
     elems.sort(key=lambda e: _element_key(e, h1 - 1))
-    return BasisSet("B2", h, tuple(elems))
+    return BasisSet("B2", h, tuple(elems), y_form(h, "one-row"))
 
 
 def basis_B3(h: HessenbergFunction) -> BasisSet:
@@ -316,7 +331,7 @@ def basis_B3(h: HessenbergFunction) -> BasisSet:
                 )
             )
     elems.sort(key=lambda e: _element_key(e, h1 - 1))
-    return BasisSet("B3", h, tuple(elems))
+    return BasisSet("B3", h, tuple(elems), y_form(h, "one-row"))
 
 
 def basis_nilpotent(h: HessenbergFunction) -> BasisSet:
@@ -341,12 +356,13 @@ def basis_transpose(h: HessenbergFunction) -> tuple[BasisSet, BasisSet, BasisSet
     form ((n-1)^(n-m), n^m): B1, B2 and B3 of the one-row transpose(h) =
     (m, n, ..., n) under the relabeling x_i <-> x_{n+1-i}, sorted for
     y-degree m - 1."""
-    ydeg = _transpose_m(h) - 1
+    form = y_form(h, "transpose")
+    ydeg = len(form.factors)
     ht = transpose(h)
     sets = []
     for b in (basis_B1(ht), basis_B2(ht), basis_B3(ht)):
         elems = sorted(map(mirror_element, b.elements), key=lambda e: _element_key(e, ydeg))
-        sets.append(BasisSet("Transpose" + b.label, h, tuple(elems)))
+        sets.append(BasisSet("Transpose" + b.label, h, tuple(elems), form))
     return tuple(sets)
 
 
@@ -479,6 +495,7 @@ def normal_form(e: XYElement, h: HessenbergFunction) -> XYElement:
     Raises NonTerminating if a rule fails to descend in that order."""
     h1 = _one_row_h1(h)
     n = h.n
+    _check_n(e.n, h)
     # rewrite key -> [monomial, coefficient]; keys hash faster than monomials
     pending = {_rewrite_key(m, n): [m, c] for m, c in e.terms.items()}
     heap = list(pending)
@@ -547,6 +564,8 @@ def _by_degree(basis: BasisSet) -> dict[int, list[XYElement]]:
 def _basis_index(elements: list[XYElement]) -> dict[XYMonomial, int]:
     index: dict[XYMonomial, int] = {}
     for pos, b in enumerate(elements):
+        if len(b.terms) != 1:
+            raise NotInBasis(f"basis entry {b.pretty()} is not a single monomial")
         (mono,) = b.terms.keys()
         index[mono] = pos
     return index
@@ -664,6 +683,7 @@ def monomial_to_gkm(m: XYMonomial, h: HessenbergFunction) -> GkmClass:
     if tag.is_general:
         raise FormMismatch(f"h={h} matches neither special form")
     n = h.n
+    _check_n(m.n, h)
     acc = GkmClass.constant(n, 1)
     for k, e in enumerate(m.xexp, start=1):
         xk = class_x(n, k)
@@ -675,6 +695,7 @@ def monomial_to_gkm(m: XYMonomial, h: HessenbergFunction) -> GkmClass:
 
 
 def element_to_gkm(e: XYElement, h: HessenbergFunction) -> GkmClass:
+    _check_n(e.n, h)
     acc = GkmClass.zero(h.n)
     for m, c in e.terms.items():
         acc = acc + monomial_to_gkm(m, h) * c

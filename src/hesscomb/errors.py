@@ -5,6 +5,8 @@ ValueError), so callers can catch one type at API boundaries while tests
 can assert the precise condition.
 """
 
+import json
+
 
 class HesscombError(ValueError):
     """Base class for all domain errors raised by this package."""
@@ -90,3 +92,27 @@ class GuardrailExceeded(HesscombError):
 
 class UnsupportedFormat(HesscombError):
     """The requested output format does not apply to this command."""
+
+
+class MalformedInput(HesscombError):
+    """Encoded input is not JSON of the documented layout."""
+
+
+def json_decoder(what: str):
+    """Make from_json(cls, data), which reads parsed JSON data, take the JSON
+    text instead.  Any failure to read the layout, including text that is not
+    JSON, is raised as MalformedInput; a HesscombError keeps its type."""
+
+    def wrap(build):
+        def from_json(cls, text: str):
+            try:
+                return build(cls, json.loads(text))
+            except HesscombError:
+                raise
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError,
+                    OverflowError) as exc:
+                raise MalformedInput(f"cannot decode {what} from {text!r:.80}") from exc
+
+        return from_json
+
+    return wrap

@@ -13,14 +13,17 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from math import prod
 
 from .errors import FormMismatch, KOutOfRange, OddDegree, OutOfRange, ShapeMismatch
 from .hessenberg import (
     HessenbergFunction,
-    _one_row_h1,
-    _transpose_m,
+    YForm,
     box_counts,
     classify_form,
+    incomparable_pairs,
+    y_form,
+    y_forms,
 )
 from .intpoly import IntPoly, product
 from .linalg import IntEchelon
@@ -121,12 +124,12 @@ def build_gkm_graph(h: HessenbergFunction) -> GkmGraph:
     n = h.n
     verts = all_permutations(n)
     edges = []
+    pairs = list(incomparable_pairs(h))
     for w in verts:
-        for j in range(1, n + 1):
-            for i in range(j + 1, h(j) + 1):
-                v = swap_positions(w, j, i)
-                if w < v:
-                    edges.append(GkmEdge(w, v, j, i))
+        for j, i in pairs:
+            v = swap_positions(w, j, i)
+            if w < v:
+                edges.append(GkmEdge(w, v, j, i))
     edges.sort(key=lambda e: (e.w, e.v, e.j, e.i))
     return GkmGraph(h, verts, tuple(edges))
 
@@ -226,39 +229,42 @@ def class_x(n: int, k: int) -> GkmClass:
     return GkmClass(n, {w: IntPoly.var(n, w[k - 1]) for w in all_permutations(n)})
 
 
-def _supported_product(n: int, k: int, w: Perm, positions) -> IntPoly:
-    tk = IntPoly.var(n, k)
-    return product(n, (tk - IntPoly.var(n, w[p - 1]) for p in positions))
-
-
-def _class_y(h: HessenbergFunction, k: int, pin: int, factors) -> GkmClass:
+def _class_y(h: HessenbergFunction, k: int, form: YForm) -> GkmClass:
     """Supported on w(pin) = k with value prod_{l in factors} (t_k - t_{w(l)})."""
     n = h.n
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
-    zero = IntPoly.zero(n)
+    tk, zero = IntPoly.var(n, k), IntPoly.zero(n)
     return GkmClass(n, {
-        w: _supported_product(n, k, w, factors) if w[pin - 1] == k else zero
+        w: product(n, (tk - IntPoly.var(n, w[l - 1]) for l in form.factors))
+        if w[form.pin - 1] == k else zero
         for w in all_permutations(n)
     })
 
 
+def _generator_form(h: HessenbergFunction) -> YForm:
+    """The y-classes that generate the class ring with the x-classes; the
+    one-row ones when h has both forms."""
+    tag = classify_form(h)
+    if tag.is_general:
+        raise FormMismatch(f"h={h} matches neither special form; generators unknown")
+    return y_form(h, "one-row" if tag.is_one_row else "transpose")
+
+
 def class_y_one_row(h: HessenbergFunction, k: int) -> GkmClass:
     """Supported on w(1) = k with value prod_{l=2}^{h(1)} (t_k - t_{w(l)})."""
-    return _class_y(h, k, 1, range(2, _one_row_h1(h) + 1))
+    return _class_y(h, k, y_form(h, "one-row"))
 
 
 def class_y_transpose(h: HessenbergFunction, k: int) -> GkmClass:
     """Supported on w(n) = k with value prod_{l=n-m+1}^{n-1} (t_k - t_{w(l)})."""
-    return _class_y(h, k, h.n, range(h.n - _transpose_m(h) + 1, h.n))
+    return _class_y(h, k, y_form(h, "transpose"))
 
 
 def class_y(h: HessenbergFunction, k: int) -> GkmClass:
     """Dispatch on the form of h; the one-row constructor wins when both apply."""
-    tag = classify_form(h)
-    if tag.one_row_h1 is not None:
-        return class_y_one_row(h, k)
-    return class_y_transpose(h, k)
+    name = "one-row" if classify_form(h).is_one_row else "transpose"
+    return _class_y(h, k, y_form(h, name))
 
 
 def check_gkm_condition(g: GkmGraph, c: GkmClass) -> tuple[bool, GkmEdge | None]:
@@ -276,61 +282,45 @@ def check_gkm_condition(g: GkmGraph, c: GkmClass) -> tuple[bool, GkmEdge | None]
 
 def dot_action(v: Perm, c: GkmClass) -> GkmClass:
     """(v . c)(w) = c(v^{-1} w) with variables renamed t_i -> t_{v(i)}."""
-    if len(v) != c.n:
-        raise ShapeMismatch("permutation length differs from class size")
+    if sorted(v) != list(range(1, c.n + 1)):
+        raise ShapeMismatch(f"{v} is not a permutation of 1..{c.n}")
     vinv = inverse_perm(v)
     return GkmClass(
         c.n, {w: c.values[compose(vinv, w)].permute_vars(v) for w in c.values}
     )
 
 
-def _product_class(n: int, classes) -> GkmClass:
-    acc = GkmClass.constant(n, 1)
-    for c in classes:
-        acc = acc * c
-    return acc
-
-
 def verify_relations(h: HessenbergFunction) -> dict[str, bool]:
     """Exact tuple checks of the four ideal relations, per applicable form."""
-    tag = classify_form(h)
-    if tag.is_general:
+    forms = y_forms(h)
+    if not forms:
         raise FormMismatch(f"h={h} matches neither special form")
     n = h.n
-    zero = GkmClass.zero(n)
+    one = GkmClass.constant(n, 1)
     xs = {k: class_x(n, k) for k in range(1, n + 1)}
     ts = {k: class_t(n, k) for k in range(1, n + 1)}
     report: dict[str, bool] = {}
-
-    def run(form: str, ys: dict[int, GkmClass], pin: int, outside, full, sum_factors):
-        report[f"{form}:y-products-vanish"] = all(
+    for form in forms:
+        ys = {k: _class_y(h, k, form) for k in range(1, n + 1)}
+        pin = form.pin
+        full = [l for l in range(1, n + 1) if l != pin]
+        outside = [l for l in full if l not in form.factors]
+        report[f"{form.name}:y-products-vanish"] = all(
             (ys[k] * ys[kk]).is_zero()
             for k in range(1, n + 1)
             for kk in range(k + 1, n + 1)
         )
-        report[f"{form}:pin-variable"] = all(
+        report[f"{form.name}:pin-variable"] = all(
             ((xs[pin] - ts[k]) * ys[k]).is_zero() for k in range(1, n + 1)
         )
-        report[f"{form}:complementary-factors"] = all(
-            ys[k] * _product_class(n, (ts[k] - xs[l] for l in outside))
-            == _product_class(n, (ts[k] - xs[l] for l in full))
+        report[f"{form.name}:complementary-factors"] = all(
+            ys[k] * prod((ts[k] - xs[l] for l in outside), start=one)
+            == prod((ts[k] - xs[l] for l in full), start=one)
             for k in range(1, n + 1)
         )
-        total = zero
-        for k in range(1, n + 1):
-            total = total + ys[k]
-        report[f"{form}:sum-identity"] = total == _product_class(
-            n, (xs[pin] - xs[l] for l in sum_factors)
-        )
-
-    if tag.one_row_h1 is not None:
-        h1 = tag.one_row_h1
-        ys = {k: class_y_one_row(h, k) for k in range(1, n + 1)}
-        run("one-row", ys, 1, range(h1 + 1, n + 1), range(2, n + 1), range(2, h1 + 1))
-    if tag.transpose_m is not None:
-        m = tag.transpose_m
-        ys = {k: class_y_transpose(h, k) for k in range(1, n + 1)}
-        run("transpose", ys, n, range(1, n - m + 1), range(1, n), range(n - m + 1, n))
+        report[f"{form.name}:sum-identity"] = sum(
+            ys.values(), GkmClass.zero(n)
+        ) == prod((xs[pin] - xs[l] for l in form.factors), start=one)
     return report
 
 
@@ -348,17 +338,6 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _form_parameters(h: HessenbergFunction) -> tuple[int, tuple[int, ...]]:
-    """Pin position and factor positions of the y-classes for the form of h."""
-    tag = classify_form(h)
-    if tag.one_row_h1 is not None:
-        return 1, tuple(range(2, tag.one_row_h1 + 1))
-    if tag.transpose_m is not None:
-        n = h.n
-        return n, tuple(range(n - tag.transpose_m + 1, n))
-    raise FormMismatch(f"h={h} matches neither special form; generators unknown")
-
-
 class _DegreeContext:
     """Shared tables for rank computations in one q-degree: the column index
     over (degree-d t-monomial, vertex) pairs, t-monomial-major, and the
@@ -367,23 +346,20 @@ class _DegreeContext:
     def __init__(self, values: tuple[int, ...], d: int):
         h = HessenbergFunction(values)
         n = h.n
-        pin, factors = _form_parameters(h)
+        form = _generator_form(h)
         self.n = n
         self.d = d
-        self.ydeg = len(factors)
+        self.ydeg = len(form.factors)
         self.perms = all_permutations(n)
         self.vidx = {w: i for i, w in enumerate(self.perms)}
         self.mons = _compositions(d, n)
         self.midx = {mon: i for i, mon in enumerate(self.mons)}
 
-        self.yterms: dict[int, list[tuple[Perm, list]]] = {}
-        for k in range(1, n + 1):
-            rows = []
-            for w in self.perms:
-                if w[pin - 1] == k:
-                    poly = _supported_product(n, k, w, factors)
-                    rows.append((w, poly.sorted_terms()))
-            self.yterms[k] = rows
+        # The support of each y_k, with the terms of its value at each vertex.
+        self.yterms = {
+            k: [(w, p.sorted_terms()) for w, p in _class_y(h, k, form).values.items() if p]
+            for k in range(1, n + 1)
+        }
         self.const_terms = [(w, [((0,) * n, 1)]) for w in self.perms]
 
         tideal = IntEchelon()
@@ -462,7 +438,9 @@ def _rank_tables(values: tuple[int, ...], d: int) -> tuple[int, int]:
 def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:
     """Whether a homogeneous class lies in (t_1, ..., t_n) times the subring
     generated by the x and y classes.  Requires a special-form h."""
-    _form_parameters(h)
+    _generator_form(h)
+    if c.n != h.n:
+        raise ShapeMismatch(f"class on {c.n} variables, but h = {h} has n = {h.n}")
     if c.is_zero():
         return True
     if not c.is_homogeneous():

@@ -17,6 +17,7 @@ from .errors import (
     FormMismatch,
     NotWeaklyIncreasing,
     OutOfRange,
+    json_decoder,
 )
 
 
@@ -39,8 +40,8 @@ class HessenbergFunction:
         return json.dumps({"n": self.n, "h": list(self.values)}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "HessenbergFunction":
-        data = json.loads(text)
+    @json_decoder("a Hessenberg function")
+    def from_json(cls, data) -> "HessenbergFunction":
         h = new_hessenberg(data["h"])
         if data.get("n") != h.n:
             raise OutOfRange("field n disagrees with the length of h")
@@ -132,50 +133,74 @@ def _transpose_m(h: HessenbergFunction) -> int:
 
 
 @dataclass(frozen=True)
-class PosetPh:
-    """The natural-unit-interval order: i < j exactly when h(i) < j."""
+class YForm:
+    """The y-classes of one special form: y_k is supported on w(pin) = k with
+    value prod_{l in factors} (t_k - t_{w(l)}), so its degree is len(factors)."""
 
-    n: int
-    relations: frozenset[tuple[int, int]]
+    name: str
+    pin: int
+    factors: tuple[int, ...]
+
+
+def y_form(h: HessenbergFunction, name: str) -> YForm:
+    """The "one-row" descriptor (pin 1, factors 2..h(1)) or the "transpose"
+    one (pin n, factors n-m+1..n-1); FormMismatch when h has no such form."""
+    n = h.n
+    if name == "one-row":
+        return YForm(name, 1, tuple(range(2, _one_row_h1(h) + 1)))
+    return YForm(name, n, tuple(range(n - _transpose_m(h) + 1, n)))
+
+
+def y_forms(h: HessenbergFunction) -> tuple[YForm, ...]:
+    """The descriptors of every special form h matches, one-row first."""
+    tag = classify_form(h)
+    matches = (("one-row", tag.is_one_row), ("transpose", tag.is_transpose))
+    return tuple(y_form(h, name) for name, ok in matches if ok)
+
+
+@dataclass(frozen=True)
+class PosetPh:
+    """The natural-unit-interval order P_h on [n]: i <_P j exactly when
+    h(i) < j.  h is the whole order; nothing else is stored."""
+
+    h: HessenbergFunction
+
+    @property
+    def n(self) -> int:
+        return self.h.n
 
     def less(self, i: int, j: int) -> bool:
-        return (i, j) in self.relations
+        return self.h(i) < j
 
     def incomparable(self, i: int, j: int) -> bool:
-        return i != j and (i, j) not in self.relations and (j, i) not in self.relations
+        return i != j and not self.less(i, j) and not self.less(j, i)
 
 
 def poset_of(h: HessenbergFunction) -> PosetPh:
-    rels = frozenset(
-        (i, j)
-        for i in range(1, h.n + 1)
-        for j in range(h(i) + 1, h.n + 1)
-    )
-    return PosetPh(h.n, rels)
+    return PosetPh(h)
+
+
+def incomparable_pairs(h: HessenbergFunction) -> Iterator[tuple[int, int]]:
+    """The pairs i < j <= h(i): exactly the incomparable pairs of P_h, since
+    h is weakly increasing and h(i) >= i.  Ordered by i, then j."""
+    for i, hi in enumerate(h.values, start=1):
+        for j in range(i + 1, hi + 1):
+            yield i, j
 
 
 @dataclass(frozen=True)
 class IncGraph:
-    """Incomparability graph of PosetPh; edges as sorted pairs {i < j}."""
+    """Incomparability graph of P_h; edges as sorted pairs {i < j}."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
 
 def inc_graph(p: PosetPh | HessenbergFunction) -> IncGraph:
-    """Incomparability graph: {i, j} is an edge iff i and j are incomparable."""
-    if isinstance(p, HessenbergFunction):
-        p = poset_of(p)
-    edges = frozenset(
-        (i, j)
-        for i in range(1, p.n + 1)
-        for j in range(i + 1, p.n + 1)
-        if p.incomparable(i, j)
-    )
-    return IncGraph(p.n, edges)
+    """Incomparability graph of P_h: {i < j} is an edge iff j <= h(i), that
+    is, iff neither i <_P j nor j <_P i (i <_P j exactly when h(i) < j)."""
+    h = p.h if isinstance(p, PosetPh) else p
+    return IncGraph(h.n, frozenset(incomparable_pairs(h)))
 
 
 def box_counts(h: HessenbergFunction) -> tuple[int, ...]:

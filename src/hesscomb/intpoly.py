@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from .errors import KOutOfRange, ShapeMismatch
+
 
 class IntPoly:
     __slots__ = ("nvars", "terms")
@@ -20,7 +22,7 @@ class IntPoly:
             for exps, c in terms.items():
                 if c:
                     if len(exps) != nvars:
-                        raise ValueError("exponent tuple of wrong length")
+                        raise ShapeMismatch("exponent tuple of wrong length")
                     clean[tuple(exps)] = int(c)
         self.terms = clean
 
@@ -36,7 +38,7 @@ class IntPoly:
     def var(cls, nvars: int, i: int) -> "IntPoly":
         """The variable with 1-based index i."""
         if not 1 <= i <= nvars:
-            raise ValueError("variable index out of range")
+            raise KOutOfRange("variable index out of range")
         e = [0] * nvars
         e[i - 1] = 1
         return cls(nvars, {tuple(e): 1})
@@ -61,7 +63,7 @@ class IntPoly:
         if isinstance(other, int):
             return IntPoly.const(self.nvars, other)
         if other.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
+            raise ShapeMismatch("variable count mismatch")
         return other
 
     def __add__(self, other) -> "IntPoly":

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from .errors import OutOfRange
+
 
 class QPolynomial:
     """Integer polynomial in q, exact and immutable by convention.
@@ -25,7 +27,7 @@ class QPolynomial:
             for e, c in coeffs.items():
                 if c:
                     if e < 0:
-                        raise ValueError("negative exponent")
+                        raise OutOfRange("negative exponent")
                     clean[int(e)] = int(c)
         self.coeffs = clean
 
@@ -145,7 +147,7 @@ class QPolynomial:
 def q_int(k: int) -> QPolynomial:
     """q-analog [k]_q = 1 + q + ... + q^(k-1); [0]_q = 0."""
     if k < 0:
-        raise ValueError("q_int of a negative integer")
+        raise OutOfRange("q_int of a negative integer")
     return QPolynomial({e: 1 for e in range(k)})
 
 

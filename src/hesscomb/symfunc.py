@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import BasisMismatch, DegreeTooLarge, NotSymmetric
+from .errors import BasisMismatch, DegreeTooLarge, NotSymmetric, json_decoder
 from .hessenberg import HessenbergFunction, IncGraph
 from .qpoly import QPolynomial
 from .tableaux import Partition, conjugate, enumerate_p_tableaux, inversions
@@ -105,8 +105,8 @@ class SymFn:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "SymFn":
-        data = json.loads(text)
+    @json_decoder("a symmetric function")
+    def from_json(cls, data) -> "SymFn":
         return cls(
             data["degree"],
             data["basis"],

@@ -10,12 +10,13 @@ entry directly beneath it.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .errors import KOutOfRange, NotPTableau, ShapeMismatch
-from .hessenberg import HessenbergFunction, new_hessenberg, poset_of
+from .errors import KOutOfRange, NotPTableau, ShapeMismatch, json_decoder
+from .hessenberg import HessenbergFunction, incomparable_pairs, new_hessenberg, poset_of
 from .intpoly import IntPoly
 
 
@@ -88,8 +89,8 @@ class PTableau:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "PTableau":
-        data = json.loads(text)
+    @json_decoder("a tableau")
+    def from_json(cls, data) -> "PTableau":
         if data.get("orientation", "bottom-up") != "bottom-up":
             raise ShapeMismatch("only bottom-up orientation is supported")
         return cls(
@@ -105,7 +106,8 @@ def _check_filling(t: PTableau) -> None:
 
 
 def is_p_tableau(h: HessenbergFunction, t: PTableau) -> bool:
-    """Check the row-chain and column conditions for the poset of h."""
+    """Check the row-chain and column conditions for P_h, where i <_P j
+    exactly when h(i) < j."""
     if t.n != h.n:
         raise ShapeMismatch(f"tableau size {t.n} != n = {h.n}")
     _check_filling(t)
@@ -122,10 +124,12 @@ def is_p_tableau(h: HessenbergFunction, t: PTableau) -> bool:
 
 
 def enumerate_p_tableaux(h: HessenbergFunction, shape: Partition) -> list[PTableau]:
-    """All P-tableaux of the shape, ordered by their reading word."""
+    """All P-tableaux of the shape, ordered by their reading word.
+
+    Cells are filled in reading-word order and each cell tries its values in
+    increasing order, so the tableaux come out already sorted."""
     if shape.size != h.n:
         raise ShapeMismatch(f"shape size {shape.size} != n = {h.n}")
-    p = poset_of(h)
     n = h.n
     cells = [(r, c) for r, length in enumerate(shape.parts) for c in range(length)]
     grid: dict[tuple[int, int], int] = {}
@@ -143,12 +147,14 @@ def enumerate_p_tableaux(h: HessenbergFunction, shape: Partition) -> list[PTable
         r, c = cells[idx]
         left = grid.get((r, c - 1)) if c > 0 else None
         below = grid.get((r - 1, c)) if r > 0 else None
-        for v in range(1, n + 1):
+        # The row condition left <_P v reads h(left) < v, and the column
+        # condition, not v <_P below, reads h(v) >= below; h is weakly
+        # increasing, so both are lower bounds on v.
+        lo = 1 if left is None else h(left) + 1
+        if below is not None:
+            lo = max(lo, bisect_left(h.values, below) + 1)
+        for v in range(lo, n + 1):
             if used[v]:
-                continue
-            if left is not None and not p.less(left, v):
-                continue
-            if below is not None and p.less(v, below):
                 continue
             used[v] = True
             grid[(r, c)] = v
@@ -157,7 +163,6 @@ def enumerate_p_tableaux(h: HessenbergFunction, shape: Partition) -> list[PTable
             del grid[(r, c)]
 
     fill(0)
-    out.sort(key=lambda t: t.reading_word())
     return out
 
 
@@ -171,18 +176,14 @@ class InversionData:
 
 
 def inversions(h: HessenbergFunction, t: PTableau) -> InversionData:
-    """P-inversions: i < j, incomparable, with i strictly above j."""
+    """P-inversions: pairs i < j, incomparable in P_h (neither h(i) < j nor
+    h(j) < i, that is, j <= h(i)), with i in a strictly higher row than j."""
     if not is_p_tableau(h, t):
         raise NotPTableau(f"not a P-tableau for h = {h}")
-    p = poset_of(h)
     level = {v: r for r, row in enumerate(t.rows) for v in row}
-    pairs = frozenset(
-        (i, j)
-        for i in range(1, h.n + 1)
-        for j in range(i + 1, h.n + 1)
-        if level[i] > level[j] and p.incomparable(i, j)
+    return InversionData(
+        frozenset((i, j) for i, j in incomparable_pairs(h) if level[i] > level[j])
     )
-    return InversionData(pairs)
 
 
 @cache

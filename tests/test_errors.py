@@ -1,0 +1,139 @@
+"""The error contract: every public entry point either answers or raises a
+HesscombError (a ValueError), never a bare KeyError, JSONDecodeError or
+tuple-unpack error, and never a silent answer for the wrong n."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hesscomb import (
+    HesscombError,
+    HessenbergFunction,
+    IntPoly,
+    KOutOfRange,
+    MalformedInput,
+    NotInBasis,
+    OutOfRange,
+    PTableau,
+    ShapeMismatch,
+    SymFn,
+    XYElement,
+    XYMonomial,
+    basis_B3,
+    class_x,
+    coordinates,
+    dot_action,
+    element_to_gkm,
+    in_t_ideal,
+    monomial_to_gkm,
+    multiply,
+    new_hessenberg,
+    normal_form,
+)
+from hesscomb.qpoly import QPolynomial, q_int
+
+H233 = new_hessenberg([2, 3, 3])
+DECODERS = (HessenbergFunction, XYElement, SymFn, PTableau)
+
+
+# --- the variable count must match h.n ---------------------------------------
+
+
+def test_normal_form_rejects_wrong_n():
+    with pytest.raises(ShapeMismatch):
+        normal_form(XYElement.monomial(XYMonomial((3, 0, 0, 0))), H233)
+
+
+def test_multiply_rejects_wrong_n():
+    with pytest.raises(ShapeMismatch):
+        multiply(H233, XYElement.one(3), XYElement.one(4))
+    with pytest.raises(ShapeMismatch):
+        multiply(H233, XYElement.one(4), XYElement.one(3))
+
+
+def test_monomial_to_gkm_rejects_wrong_n():
+    with pytest.raises(ShapeMismatch):
+        monomial_to_gkm(XYMonomial((1, 0)), H233)
+
+
+def test_element_to_gkm_rejects_wrong_n():
+    with pytest.raises(ShapeMismatch):
+        element_to_gkm(XYElement.monomial(XYMonomial((1, 0))), H233)
+
+
+def test_in_t_ideal_rejects_wrong_n():
+    with pytest.raises(ShapeMismatch):
+        in_t_ideal(class_x(4, 1), H233)
+
+
+# --- plain ValueErrors and KeyErrors mapped onto the taxonomy -----------------
+
+
+@pytest.mark.parametrize("cls", DECODERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("text", ["{}", "x", "[]", "null", '{"h": 5}'])
+def test_decoders_raise_malformed_input(cls, text):
+    with pytest.raises(MalformedInput):
+        cls.from_json(text)
+
+
+def test_decoders_keep_inner_error_types():
+    with pytest.raises(MalformedInput):
+        XYElement.from_json('{"terms": [{}]}')
+    with pytest.raises(ShapeMismatch):
+        XYElement.from_json('{"terms": []}')
+    with pytest.raises(MalformedInput):
+        HessenbergFunction.from_json('{"n": 3, "h": ["a"]}')
+    with pytest.raises(OutOfRange):
+        HessenbergFunction.from_json('{"n": 4, "h": [2, 3, 3]}')
+
+
+def test_coordinates_rejects_non_monomial_basis():
+    b3 = basis_B3(H233)
+    with pytest.raises(NotInBasis):
+        coordinates(b3.elements[0], list(b3.elements))
+
+
+def test_dot_action_rejects_non_permutation():
+    with pytest.raises(ShapeMismatch):
+        dot_action((1, 1, 3), class_x(3, 1))
+
+
+def test_polynomial_arguments_out_of_range():
+    with pytest.raises(OutOfRange):
+        q_int(-1)
+    with pytest.raises(OutOfRange):
+        QPolynomial({-1: 1})
+    with pytest.raises(KOutOfRange):
+        IntPoly.var(3, 5)
+
+
+# --- fuzzing the decoders -----------------------------------------------------
+
+# Keys the four layouts read, so that random documents reach past the first
+# lookup; other keys are ignored by every decoder.
+KEYS = ("h", "n", "terms", "x", "y", "c", "degree", "basis", "partition",
+        "coeff", "shape", "rows", "orientation")
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 9) | st.integers()
+           | st.floats() | st.sampled_from(("schur", "bottom-up", "")) | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=20,
+)
+TEXTS = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.text(max_size=20),
+    st.text('{}[]":,0123 hnxyc', max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DECODERS), TEXTS)
+def test_decoders_answer_or_raise_hesscomb_error(cls, text):
+    try:
+        cls.from_json(text)
+    except HesscombError:
+        pass

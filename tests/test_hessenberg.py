@@ -8,18 +8,22 @@ from hesscomb import (
     EmptyInput,
     FormMismatch,
     FormTag,
+    IncGraph,
     NotWeaklyIncreasing,
     OutOfRange,
     all_hessenberg_functions,
     box_counts,
     build_gkm_graph,
     classify_form,
+    enumerate_p_tableaux,
     inc_graph,
+    inversions,
     new_hessenberg,
+    partitions_of,
     poset_of,
     transpose,
 )
-from hesscomb.hessenberg import _one_row_h1, _transpose_m
+from hesscomb.hessenberg import YForm, _one_row_h1, _transpose_m, y_form, y_forms
 
 
 def test_new_hessenberg_accepts_valid():
@@ -93,16 +97,89 @@ def test_classify_transpose_of_one_row():
                 assert flipped.transpose_m == tag.one_row_h1
 
 
+def relations(p):
+    """The relation set of a poset, read through less."""
+    return frozenset(
+        (i, j) for i in range(1, p.n + 1) for j in range(1, p.n + 1) if p.less(i, j)
+    )
+
+
+def oracle_relations(h):
+    """The order of P_h as a relation set: i < j exactly when h(i) < j."""
+    return frozenset(
+        (i, j)
+        for i in range(1, h.n + 1)
+        for j in range(h(i) + 1, h.n + 1)
+    )
+
+
+def oracle_inc_edges(h):
+    rels = oracle_relations(h)
+    return frozenset(
+        (i, j)
+        for i in range(1, h.n + 1)
+        for j in range(i + 1, h.n + 1)
+        if (i, j) not in rels and (j, i) not in rels
+    )
+
+
+def test_y_form_descriptors():
+    assert y_forms(new_hessenberg([3, 3, 3])) == (
+        YForm("one-row", 1, (2, 3)),
+        YForm("transpose", 3, (1, 2)),
+    )
+    assert y_forms(new_hessenberg([2, 4, 4, 4])) == (YForm("one-row", 1, (2,)),)
+    assert y_forms(new_hessenberg([3, 3, 4, 4])) == (YForm("transpose", 4, (3,)),)
+    assert y_forms(new_hessenberg([2, 3, 4, 4])) == ()
+    with pytest.raises(FormMismatch):
+        y_form(new_hessenberg([2, 3, 4, 4]), "one-row")
+    with pytest.raises(FormMismatch):
+        y_form(new_hessenberg([2, 3, 4, 4]), "transpose")
+
+
 def test_poset_examples():
-    assert poset_of(new_hessenberg([2, 3, 3])).relations == frozenset({(1, 3)})
-    assert poset_of(new_hessenberg([3, 3, 3])).relations == frozenset()
-    assert poset_of(new_hessenberg([4, 5, 5, 5, 5])).relations == frozenset({(1, 5)})
+    assert relations(poset_of(new_hessenberg([2, 3, 3]))) == frozenset({(1, 3)})
+    assert relations(poset_of(new_hessenberg([3, 3, 3]))) == frozenset()
+    assert relations(poset_of(new_hessenberg([4, 5, 5, 5, 5]))) == frozenset({(1, 5)})
+
+
+def test_order_matches_relation_set_oracle():
+    for n in range(1, 8):
+        for h in all_hessenberg_functions(n):
+            p = poset_of(h)
+            rels = oracle_relations(h)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    assert p.less(i, j) == ((i, j) in rels)
+                    incomparable = i != j and (i, j) not in rels and (j, i) not in rels
+                    assert p.incomparable(i, j) == incomparable
+            edges = oracle_inc_edges(h)
+            assert inc_graph(h) == IncGraph(n, edges)
+            assert inc_graph(p) == IncGraph(n, edges)
+
+
+def test_inversions_match_relation_set_oracle():
+    for n in range(1, 7):
+        for h in all_hessenberg_functions(n):
+            rels = oracle_relations(h)
+            for shape in partitions_of(n):
+                for t in enumerate_p_tableaux(h, shape):
+                    level = {v: r for r, row in enumerate(t.rows) for v in row}
+                    expected = frozenset(
+                        (i, j)
+                        for i in range(1, n + 1)
+                        for j in range(i + 1, n + 1)
+                        if level[i] > level[j]
+                        and (i, j) not in rels
+                        and (j, i) not in rels
+                    )
+                    assert inversions(h, t).pairs == expected
 
 
 def test_poset_is_transitively_closed_and_irreflexive():
     for n in range(1, 7):
         for h in all_hessenberg_functions(n):
-            rel = poset_of(h).relations
+            rel = relations(poset_of(h))
             for i, j in rel:
                 assert i != j
                 for k, l in rel:
@@ -113,7 +190,7 @@ def test_poset_is_transitively_closed_and_irreflexive():
 def test_poset_empty_iff_full_function():
     for n in range(1, 7):
         for h in all_hessenberg_functions(n):
-            empty = not poset_of(h).relations
+            empty = not relations(poset_of(h))
             assert empty == (h.values == tuple([n] * n))
 
 
@@ -131,7 +208,7 @@ def test_inc_graph_edge_count_complements_poset():
     for n in range(1, 7):
         for h in all_hessenberg_functions(n):
             p = poset_of(h)
-            assert len(inc_graph(p).edges) == n * (n - 1) // 2 - len(p.relations)
+            assert len(inc_graph(p).edges) == n * (n - 1) // 2 - len(relations(p))
 
 
 def test_box_counts_examples():

@@ -110,9 +110,11 @@ def test_enumeration_matches_brute_force_n5():
 
 
 def test_enumeration_order_is_reading_word_lex():
-    tabs = enumerate_p_tableaux(ONE_ROW_H5, Partition((2, 1, 1, 1)))
-    words = [t.reading_word() for t in tabs]
-    assert words == sorted(words)
+    for n in range(1, 7):
+        for h in all_hessenberg_functions(n):
+            for shape in partitions_of(n):
+                words = [t.reading_word() for t in enumerate_p_tableaux(h, shape)]
+                assert words == sorted(words)
 
 
 def test_inversion_examples():
