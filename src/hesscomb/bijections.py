@@ -232,9 +232,10 @@ def psi_b3(h: HessenbergFunction, p: TabPair) -> XYElement:
     k = p.s.rows[0][1]
     if p.s != syt_with_bottom_pair(n, k):
         raise InvalidPair("first tableau is not standard")
-    if not is_p_tableau(h, p.t):
-        raise InvalidPair(f"second tableau is not a P-tableau for h = {h}")
-    pairs = inversions(h, p.t).pairs
+    try:
+        pairs = inversions(h, p.t).pairs
+    except NotPTableau:
+        raise InvalidPair(f"second tableau is not a P-tableau for h = {h}") from None
     larger_counts = [0] * (n + 1)
     for _small, large in pairs:
         larger_counts[large] += 1

@@ -17,21 +17,20 @@ from operator import neg
 
 from .errors import (
     DegenerateForm,
-    FormMismatch,
     HesscombError,
     NonTerminating,
     NotInBasis,
     NotSquare,
     ShapeMismatch,
+    checked_int,
     json_decoder,
 )
-from .gkm import GkmClass, class_x, class_y
+from .gkm import GkmClass, _generator_form, class_x, class_y
 from .hessenberg import (
     HessenbergFunction,
     YForm,
     _one_row_h1,
     _transpose_m,
-    classify_form,
     transpose,
     y_form,
 )
@@ -194,9 +193,11 @@ class XYElement:
         terms: dict[XYMonomial, int] = {}
         n = None
         for t in data["terms"]:
-            m = XYMonomial(tuple(t["x"]), t.get("y"))
+            y = t.get("y")
+            m = XYMonomial(tuple(checked_int(e, "an exponent") for e in t["x"]),
+                           None if y is None else checked_int(y, "a y index"))
             n = m.n
-            terms[m] = terms.get(m, 0) + t["c"]
+            terms[m] = terms.get(m, 0) + checked_int(t["c"], "a coefficient")
         if n is None:
             raise ShapeMismatch("cannot infer variable count from an empty element")
         return cls(n, terms)
@@ -679,9 +680,7 @@ def degree_gf(b: BasisSet) -> QPolynomial:
 
 def monomial_to_gkm(m: XYMonomial, h: HessenbergFunction) -> GkmClass:
     """Pointwise product of the generator classes named by the monomial."""
-    tag = classify_form(h)
-    if tag.is_general:
-        raise FormMismatch(f"h={h} matches neither special form")
+    _generator_form(h)
     n = h.n
     _check_n(m.n, h)
     acc = GkmClass.constant(n, 1)

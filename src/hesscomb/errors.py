@@ -95,7 +95,16 @@ class UnsupportedFormat(HesscombError):
 
 
 class MalformedInput(HesscombError):
-    """Encoded input is not JSON of the documented layout."""
+    """Input is not of the documented layout or types: text that is not JSON,
+    or a value that is not an integer where one is required."""
+
+
+def checked_int(value, what: str) -> int:
+    """value itself when it is an int; MalformedInput for anything else, a
+    bool, a float or a digit string included."""
+    if type(value) is not int:
+        raise MalformedInput(f"{what} must be an integer, got {value!r:.40}")
+    return value
 
 
 def json_decoder(what: str):

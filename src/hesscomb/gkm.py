@@ -4,7 +4,9 @@ Vertices are permutations in one-line notation, edges join w to w*(ji) for
 j < i <= h(j), and a class assigns an integer polynomial in t_1..t_n to every
 vertex subject to the divisibility condition along edges.  Ranks of the
 quotient by the positive-degree t-ideal are computed with exact integer
-elimination.
+elimination, one q-degree at a time: the t-ideal in degree d is
+t_1, ..., t_n times the span in degree d - 1, and the span adds the x^b and
+x^b y_k rows to it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from math import prod
+from operator import add
 
 from .errors import FormMismatch, KOutOfRange, OddDegree, OutOfRange, ShapeMismatch
 from .hessenberg import (
@@ -162,13 +165,6 @@ class GkmClass:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.values.values())
 
-    def degree(self) -> int:
-        return max(p.total_degree() for p in self.values.values())
-
-    def is_homogeneous(self) -> bool:
-        degs = {p.total_degree() for p in self.values.values() if not p.is_zero()}
-        return len(degs) <= 1 and all(p.is_homogeneous() for p in self.values.values())
-
     def _coerce(self, other) -> "GkmClass":
         if isinstance(other, GkmClass):
             if other.n != self.n:
@@ -263,8 +259,7 @@ def class_y_transpose(h: HessenbergFunction, k: int) -> GkmClass:
 
 def class_y(h: HessenbergFunction, k: int) -> GkmClass:
     """Dispatch on the form of h; the one-row constructor wins when both apply."""
-    name = "one-row" if classify_form(h).is_one_row else "transpose"
-    return _class_y(h, k, y_form(h, name))
+    return _class_y(h, k, _generator_form(h))
 
 
 def check_gkm_condition(g: GkmGraph, c: GkmClass) -> tuple[bool, GkmEdge | None]:
@@ -338,115 +333,107 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-class _DegreeContext:
-    """Shared tables for rank computations in one q-degree: the column index
-    over (degree-d t-monomial, vertex) pairs, t-monomial-major, and the
-    echelonized t-ideal."""
+@dataclass(frozen=True)
+class _Degree:
+    """One q-degree d: the index of the degree-d t-monomials, the echelonized
+    t-ideal, and the quotient and fixed-subspace ranks."""
 
-    def __init__(self, values: tuple[int, ...], d: int):
-        h = HessenbergFunction(values)
-        n = h.n
+    midx: dict[tuple[int, ...], int]
+    tideal: IntEchelon
+    rank: int
+    fixed: int
+
+
+class _RankChain:
+    """The q-degrees of one special-form h, built in order.  A row is a class
+    over the columns (degree-d t-monomial, vertex), t-monomial-major, so t_i
+    times a row moves each column to the monomial with one more t_i."""
+
+    def __init__(self, h: HessenbergFunction):
         form = _generator_form(h)
-        self.n = n
-        self.d = d
+        self.n = h.n
         self.ydeg = len(form.factors)
-        self.perms = all_permutations(n)
-        self.vidx = {w: i for i, w in enumerate(self.perms)}
-        self.mons = _compositions(d, n)
-        self.midx = {mon: i for i, mon in enumerate(self.mons)}
-
+        self.vidx = {w: i for i, w in enumerate(all_permutations(h.n))}
         # The support of each y_k, with the terms of its value at each vertex.
-        self.yterms = {
-            k: [(w, p.sorted_terms()) for w, p in _class_y(h, k, form).values.items() if p]
-            for k in range(1, n + 1)
-        }
-        self.const_terms = [(w, [((0,) * n, 1)]) for w in self.perms]
+        self.yterms = [
+            [(w, p.terms.items()) for w, p in _class_y(h, k, form).values.items() if p]
+            for k in range(1, h.n + 1)
+        ]
+        self.ones = [(w, [((0,) * h.n, 1)]) for w in self.vidx]
+        self.degrees: list[_Degree] = []
+        self.span = IntEchelon()  # the span in the last degree built
 
+    def degree(self, d: int) -> _Degree:
+        while len(self.degrees) <= d:
+            self._grow()
+        return self.degrees[d]
+
+    def _grow(self) -> None:
+        d, n, nverts = len(self.degrees), self.n, len(self.vidx)
+        midx = {mon: i for i, mon in enumerate(_compositions(d, n))}
         tideal = IntEchelon()
-        for j in range(1, d + 1):
-            rest = d - j
-            for a in _compositions(j, n):
-                for b in self.x_parts(rest):
-                    tideal.insert(self.make_row(self.const_terms, a, b))
-                if rest >= self.ydeg:
-                    for b in self.x_parts(rest - self.ydeg):
-                        for k in range(1, n + 1):
-                            tideal.insert(self.make_row(self.yterms[k], a, b))
-        self.tideal = tideal
+        if d:
+            below = _compositions(d - 1, n)
+            for i in range(n):
+                # The column offset from each monomial below to t_i times it.
+                shift = [(midx[a[:i] + (a[i] + 1,) + a[i + 1:]] - j) * nverts
+                         for j, a in enumerate(below)]
+                for row in self.span.pivots.values():
+                    tideal.insert({c + shift[c // nverts]: v for c, v in row.items()})
 
-    def make_row(self, supp, a: tuple[int, ...], b: tuple[int, ...]) -> dict[int, int]:
-        entries: dict[int, int] = {}
+        # Both counts share the t-ideal plus the x^b rows; only the y rows
+        # differ (one per k for the quotient, summed over k for the fixed part).
+        fixed_span = tideal.clone()
+        rank = fixed = sum(fixed_span.insert(self._row(midx, self.ones, b))
+                           for b in _compositions(d, n))
+        span = fixed_span.clone()
+        if d >= self.ydeg:
+            parts = _compositions(d - self.ydeg, n)
+            for b in parts:
+                for supp in self.yterms:
+                    rank += span.insert(self._row(midx, supp, b))
+            all_y = [pair for supp in self.yterms for pair in supp]
+            for b in parts:
+                fixed += fixed_span.insert(self._row(midx, all_y, b))
+        self.span = span
+        self.degrees.append(_Degree(midx, tideal, rank, fixed))
+
+    def _row(self, midx, supp, b: tuple[int, ...]) -> dict[int, int]:
+        """x^b times the class whose nonzero values supp lists, as a row."""
+        nverts = len(self.vidx)
+        row: dict[int, int] = {}
         for w, terms in supp:
-            base = list(a)
+            base = [0] * self.n
             for pos, e in enumerate(b):
-                if e:
-                    base[w[pos] - 1] += e
+                base[w[pos] - 1] += e
+            v = self.vidx[w]
             for exps, coeff in terms:
-                key = tuple(x + y for x, y in zip(base, exps))
-                col = self.midx[key] * len(self.perms) + self.vidx[w]
-                entries[col] = entries.get(col, 0) + coeff
-        return entries
-
-    def class_row(self, c: GkmClass) -> dict[int, int]:
-        entries: dict[int, int] = {}
-        for w, poly in c.values.items():
-            for exps, coeff in poly.sorted_terms():
-                col = self.midx[exps] * len(self.perms) + self.vidx[w]
-                entries[col] = entries.get(col, 0) + coeff
-        return entries
-
-    def x_parts(self, total: int):
-        # The full product x_1...x_n equals the constant t_1...t_n, so
-        # exponent vectors with no zero entry are redundant here.
-        for b in _compositions(total, self.n):
-            if total < self.n or min(b) == 0:
-                yield b
+                col = midx[tuple(map(add, base, exps))] * nverts + v
+                row[col] = row.get(col, 0) + coeff
+        return row
 
 
-@cache
-def _degree_context(values: tuple[int, ...], d: int) -> _DegreeContext:
-    return _DegreeContext(values, d)
-
-
-@cache
-def _rank_tables(values: tuple[int, ...], d: int) -> tuple[int, int]:
-    """(quotient rank, fixed-subspace rank) in q-degree d for special-form h."""
-    n = len(values)
-    ctx = _degree_context(values, d)
-    ydeg = ctx.ydeg
-    zero_a = (0,) * n
-
-    # Both counts share the t-ideal plus the constant rows; only the y rows
-    # differ (one per k for the quotient, summed over k for the fixed part).
-    base = ctx.tideal.clone()
-    shared = 0
-    for b in ctx.x_parts(d):
-        shared += base.insert(ctx.make_row(ctx.const_terms, zero_a, b))
-    rank = fixed = shared
-    if d >= ydeg:
-        parts = list(ctx.x_parts(d - ydeg))
-        quo = base.clone()
-        for b in parts:
-            for k in range(1, n + 1):
-                rank += quo.insert(ctx.make_row(ctx.yterms[k], zero_a, b))
-        all_y = [pair for k in range(1, n + 1) for pair in ctx.yterms[k]]
-        for b in parts:
-            fixed += base.insert(ctx.make_row(all_y, zero_a, b))
-    return rank, fixed
+_rank_chain = cache(_RankChain)  # one chain per h
 
 
 def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:
     """Whether a homogeneous class lies in (t_1, ..., t_n) times the subring
     generated by the x and y classes.  Requires a special-form h."""
-    _generator_form(h)
+    chain = _rank_chain(h)
     if c.n != h.n:
         raise ShapeMismatch(f"class on {c.n} variables, but h = {h} has n = {h.n}")
-    if c.is_zero():
+    degrees = {sum(exps) for p in c.values.values() for exps in p.terms}
+    if not degrees:
         return True
-    if not c.is_homogeneous():
+    if len(degrees) > 1:
         raise ShapeMismatch("t-ideal test needs a homogeneous class")
-    ctx = _degree_context(h.values, c.degree())
-    return ctx.tideal.contains(ctx.class_row(c))
+    level = chain.degree(degrees.pop())
+    nverts = len(chain.vidx)
+    return level.tideal.contains({
+        level.midx[exps] * nverts + chain.vidx[w]: coeff
+        for w, p in c.values.items()
+        for exps, coeff in p.terms.items()
+    })
 
 
 def _checked_half_degree(degree_2d: int) -> int:
@@ -460,13 +447,13 @@ def _checked_half_degree(degree_2d: int) -> int:
 def graded_quotient_rank(h: HessenbergFunction, degree_2d: int) -> int:
     """Rank of the degree-2d part of the class algebra modulo (t_1, ..., t_n)."""
     d = _checked_half_degree(degree_2d)
-    return _rank_tables(h.values, d)[0]
+    return _rank_chain(h).degree(d).rank
 
 
 def sn_fixed_rank(h: HessenbergFunction, degree_2d: int) -> int:
     """Rank of the dot-action-invariant subspace of the same quotient."""
     d = _checked_half_degree(degree_2d)
-    return _rank_tables(h.values, d)[1]
+    return _rank_chain(h).degree(d).fixed
 
 
 def betti_numbers(h: HessenbergFunction) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from .errors import (
     FormMismatch,
     NotWeaklyIncreasing,
     OutOfRange,
+    checked_int,
     json_decoder,
 )
 
@@ -45,6 +46,7 @@ class HessenbergFunction:
         h = new_hessenberg(data["h"])
         if data.get("n") != h.n:
             raise OutOfRange("field n disagrees with the length of h")
+        checked_int(data["n"], "field n")  # 3.0 and true pass the comparison
         return h
 
     def __str__(self) -> str:
@@ -53,7 +55,7 @@ class HessenbergFunction:
 
 def new_hessenberg(values: Iterable[int]) -> HessenbergFunction:
     """Validate and build a Hessenberg function from its value list."""
-    vals = tuple(int(v) for v in values)
+    vals = tuple(checked_int(v, "a Hessenberg value") for v in values)
     if not vals:
         raise EmptyInput("a Hessenberg function needs at least one value")
     n = len(vals)

@@ -97,13 +97,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def substitute_equal(self, a: int, b: int) -> "IntPoly":
         """Set variable a equal to variable b (1-based indices)."""
         acc: dict[tuple[int, ...], int] = {}

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import BasisMismatch, DegreeTooLarge, NotSymmetric, json_decoder
+from .errors import BasisMismatch, DegreeTooLarge, NotSymmetric, checked_int, json_decoder
 from .hessenberg import HessenbergFunction, IncGraph
 from .qpoly import QPolynomial
 from .tableaux import Partition, conjugate, enumerate_p_tableaux, inversions
@@ -108,12 +108,13 @@ class SymFn:
     @json_decoder("a symmetric function")
     def from_json(cls, data) -> "SymFn":
         return cls(
-            data["degree"],
+            checked_int(data["degree"], "the degree"),
             data["basis"],
             {
-                Partition(tuple(t["partition"])): QPolynomial.from_pairs(
-                    [(e, c) for e, c in t["coeff"]]
-                )
+                Partition(tuple(checked_int(p, "a part") for p in t["partition"])):
+                QPolynomial.from_pairs([(checked_int(e, "an exponent"),
+                                         checked_int(c, "a coefficient"))
+                                        for e, c in t["coeff"]])
                 for t in data["terms"]
             },
         )

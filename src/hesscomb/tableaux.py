@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .errors import KOutOfRange, NotPTableau, ShapeMismatch, json_decoder
+from .errors import KOutOfRange, NotPTableau, ShapeMismatch, checked_int, json_decoder
 from .hessenberg import HessenbergFunction, incomparable_pairs, new_hessenberg, poset_of
 from .intpoly import IntPoly
 
@@ -94,8 +94,8 @@ class PTableau:
         if data.get("orientation", "bottom-up") != "bottom-up":
             raise ShapeMismatch("only bottom-up orientation is supported")
         return cls(
-            Partition(tuple(data["shape"])),
-            tuple(tuple(r) for r in data["rows"]),
+            Partition(tuple(checked_int(p, "a part") for p in data["shape"])),
+            tuple(tuple(checked_int(v, "an entry") for v in r) for r in data["rows"]),
         )
 
 

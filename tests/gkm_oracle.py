@@ -1,0 +1,95 @@
+"""The GKM rank tables built one q-degree at a time from every t-monomial:
+the exact oracle for the degree chain in ``hesscomb.gkm``.
+
+In q-degree d the t-ideal is spanned directly by the rows t^a x^b and
+t^a x^b y_k for every t-monomial a of positive degree, so it shares nothing
+with the chain's step from degree d - 1.  Columns are (t-monomial, vertex)
+pairs, t-monomial-major.  The full product x_1...x_n equals the constant
+t_1...t_n, so x-exponent vectors with no zero entry are left out.
+"""
+
+import itertools
+
+from hesscomb.gkm import _class_y, _generator_form, all_permutations
+from hesscomb.linalg import IntEchelon
+
+
+def compositions(total, parts):
+    return [a for a in itertools.product(range(total + 1), repeat=parts) if sum(a) == total]
+
+
+class DegreeOracle:
+    """Quotient rank, fixed-subspace rank and t-ideal membership in one
+    q-degree d for a special-form h."""
+
+    def __init__(self, h, d):
+        n = h.n
+        form = _generator_form(h)
+        self.n = n
+        self.d = d
+        self.ydeg = len(form.factors)
+        self.perms = all_permutations(n)
+        self.vidx = {w: i for i, w in enumerate(self.perms)}
+        self.midx = {mon: i for i, mon in enumerate(compositions(d, n))}
+        self.yterms = {
+            k: [(w, p.sorted_terms()) for w, p in _class_y(h, k, form).values.items() if p]
+            for k in range(1, n + 1)
+        }
+        self.const_terms = [(w, [((0,) * n, 1)]) for w in self.perms]
+
+        tideal = IntEchelon()
+        for j in range(1, d + 1):
+            rest = d - j
+            for a in compositions(j, n):
+                for b in self.x_parts(rest):
+                    tideal.insert(self.make_row(self.const_terms, a, b))
+                if rest >= self.ydeg:
+                    for b in self.x_parts(rest - self.ydeg):
+                        for k in range(1, n + 1):
+                            tideal.insert(self.make_row(self.yterms[k], a, b))
+        self.tideal = tideal
+
+    def make_row(self, supp, a, b):
+        entries = {}
+        for w, terms in supp:
+            base = list(a)
+            for pos, e in enumerate(b):
+                if e:
+                    base[w[pos] - 1] += e
+            for exps, coeff in terms:
+                key = tuple(x + y for x, y in zip(base, exps))
+                col = self.midx[key] * len(self.perms) + self.vidx[w]
+                entries[col] = entries.get(col, 0) + coeff
+        return entries
+
+    def x_parts(self, total):
+        for b in compositions(total, self.n):
+            if total < self.n or min(b) == 0:
+                yield b
+
+    def ranks(self):
+        """(quotient rank, fixed-subspace rank)."""
+        n, d, zero_a = self.n, self.d, (0,) * self.n
+        base = self.tideal.clone()
+        shared = sum(base.insert(self.make_row(self.const_terms, zero_a, b))
+                     for b in self.x_parts(d))
+        rank = fixed = shared
+        if d >= self.ydeg:
+            parts = list(self.x_parts(d - self.ydeg))
+            quo = base.clone()
+            for b in parts:
+                for k in range(1, n + 1):
+                    rank += quo.insert(self.make_row(self.yterms[k], zero_a, b))
+            all_y = [pair for k in range(1, n + 1) for pair in self.yterms[k]]
+            for b in parts:
+                fixed += base.insert(self.make_row(all_y, zero_a, b))
+        return rank, fixed
+
+    def in_t_ideal(self, c):
+        """Membership of a class homogeneous of degree d."""
+        entries = {}
+        for w, poly in c.values.items():
+            for exps, coeff in poly.sorted_terms():
+                col = self.midx[exps] * len(self.perms) + self.vidx[w]
+                entries[col] = entries.get(col, 0) + coeff
+        return self.tideal.contains(entries)

@@ -284,6 +284,9 @@ def test_psi_b3_rejects_bad_pairs():
     not_bottom_one = PTableau(shape, ((2, 3), (1,), (4,)))
     with pytest.raises(InvalidPair):
         psi_b3(h, TabPair(not_bottom_one, good_t))
+    not_p_tableau = PTableau(shape, ((2, 3), (1,), (4,)))  # h(2) = 4 is not < 3
+    with pytest.raises(InvalidPair, match=r"second tableau is not a P-tableau for h = \(2,4,4,4\)"):
+        psi_b3(h, TabPair(s, not_p_tableau))
 
 
 def test_tab_pair_json():

@@ -89,6 +89,33 @@ def test_decoders_keep_inner_error_types():
         HessenbergFunction.from_json('{"n": 4, "h": [2, 3, 3]}')
 
 
+@pytest.mark.parametrize("cls,text", [
+    (HessenbergFunction, '{"n": 3, "h": "233"}'),
+    (HessenbergFunction, '{"n": 3, "h": [2.7, 3, 3]}'),
+    (HessenbergFunction, '{"n": 3, "h": ["2", 3, 3]}'),
+    (HessenbergFunction, '{"n": 3, "h": [true, 3, 3]}'),
+    (HessenbergFunction, '{"n": 3.0, "h": [2, 3, 3]}'),
+    (PTableau, '{"shape": [1], "rows": [["a"]]}'),
+    (PTableau, '{"shape": [true], "rows": [[1]]}'),
+    (PTableau, '{"shape": [1], "rows": [[1.0]]}'),
+    (XYElement, '{"terms": [{"x": [1, 0], "y": null, "c": 0.5}]}'),
+    (XYElement, '{"terms": [{"x": [1.5, 0], "c": 1}]}'),
+    (XYElement, '{"terms": [{"x": [1, 0], "y": true, "c": 1}]}'),
+    (SymFn, '{"degree": 2.0, "basis": "schur", "terms": []}'),
+    (SymFn, '{"degree": 2, "basis": "schur", "terms": [{"partition": [true, true], "coeff": [[0, 1]]}]}'),
+    (SymFn, '{"degree": 2, "basis": "schur", "terms": [{"partition": [2], "coeff": [[0, 1.5]]}]}'),
+])
+def test_decoders_reject_non_integer_entries(cls, text):
+    with pytest.raises(MalformedInput, match="must be an integer"):
+        cls.from_json(text)
+
+
+@pytest.mark.parametrize("values", [[2.7, 3, 3], [2.0, 3, 3], ["2", 3, 3], "233", [True, 3, 3]])
+def test_new_hessenberg_rejects_non_integers(values):
+    with pytest.raises(HesscombError):
+        new_hessenberg(values)
+
+
 def test_coordinates_rejects_non_monomial_basis():
     b3 = basis_B3(H233)
     with pytest.raises(NotInBasis):

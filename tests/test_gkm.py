@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from gkm_oracle import DegreeOracle
 
 from hesscomb import (
     FormMismatch,
@@ -10,9 +11,11 @@ from hesscomb import (
     IntPoly,
     KOutOfRange,
     OddDegree,
+    XYMonomial,
     all_hessenberg_functions,
     all_permutations,
     basis_nilpotent,
+    basis_transpose,
     betti_numbers,
     box_counts,
     build_gkm_graph,
@@ -27,9 +30,11 @@ from hesscomb import (
     element_to_gkm,
     graded_quotient_rank,
     in_t_ideal,
+    monomial_to_gkm,
     new_hessenberg,
     sn_fixed_rank,
     verify_relations,
+    via_ptableaux,
 )
 from hesscomb.gkm import compose, inverse_perm
 
@@ -233,9 +238,10 @@ def test_graded_quotient_rank_examples():
         graded_quotient_rank(H233, 3)
 
 
-def test_betti_numbers_sum_to_factorial():
+def test_betti_numbers_match_ptableau_route():
     for h in special_forms(4):
         betti = betti_numbers(h)
+        assert betti == tuple(via_ptableaux(h).coefficient(d) for d in range(len(betti)))
         assert sum(betti) == math.factorial(h.n), h.values
 
 
@@ -261,6 +267,112 @@ def test_in_t_ideal_symmetric_functions():
     h = H233
     e1 = element_to_gkm_e1(h)
     assert in_t_ideal(e1, h)
+
+
+def test_in_t_ideal_rejects_transpose_basis_monomials():
+    shapes = [h for h in special_forms(4) if not classify_form(h).is_one_row]
+    assert [h.values for h in shapes] == [(2, 2, 3), (3, 3, 3, 4), (3, 3, 4, 4)]
+    for h in shapes:
+        b1, b2, _ = basis_transpose(h)
+        for e in b1.elements + b2.elements:
+            c = element_to_gkm(e, h)
+            assert not c.is_zero()
+            assert not in_t_ideal(c, h), (h.values, e.pretty())
+
+
+def test_in_t_ideal_above_the_top_degree():
+    # The quotient vanishes above the top degree, so every class of the
+    # subring there lies in the t-ideal, and a class off the GKM conditions
+    # never does.
+    h = H233
+    d = sum(box_counts(h)) + 1
+    assert graded_quotient_rank(h, 2 * d) == 0
+    assert in_t_ideal(class_x(3, 1) * class_x(3, 2) * class_x(3, 2), h)
+    assert in_t_ideal(class_y(h, 2) * class_x(3, 3) * class_x(3, 1), h)
+    spike = GkmClass(3, {w: IntPoly.var(3, 1) * IntPoly.var(3, 1) * IntPoly.var(3, 2)
+                         if w == (1, 2, 3) else IntPoly.zero(3)
+                         for w in all_permutations(3)})
+    assert not check_gkm_condition(build_gkm_graph(h), spike)[0]
+    assert not in_t_ideal(spike, h)
+
+
+def test_form_mismatch_names_neither_form_on_general_h():
+    h = new_hessenberg([2, 3, 4, 4])
+    message = "h=(2,3,4,4) matches neither special form; generators unknown"
+    calls = [
+        lambda: class_y(h, 1),
+        lambda: monomial_to_gkm(XYMonomial((1, 0, 0, 0), 1), h),
+        lambda: monomial_to_gkm(XYMonomial((1, 0, 0, 0)), h),
+        lambda: in_t_ideal(class_x(4, 1), h),
+        lambda: betti_numbers(h),
+        lambda: sn_fixed_rank(h, 2),
+    ]
+    for call in calls:
+        with pytest.raises(FormMismatch) as err:
+            call()
+        assert str(err.value) == message
+
+
+# --- the degree chain against the t-monomial oracle ---------------------------
+
+
+def _power(n, factors, exps):
+    c = GkmClass.constant(n, 1)
+    for k, e in enumerate(exps, start=1):
+        for _ in range(e):
+            c = c * factors(n, k)
+    return c
+
+
+def _random_exps(rng, n, total):
+    exps = [0] * n
+    for _ in range(total):
+        exps[rng.randrange(n)] += 1
+    return exps
+
+
+def _degree_classes(h, d, ydeg, rng):
+    """Classes homogeneous of degree d: products of generators, t-multiples of
+    them, integer combinations of those, and random values off the GKM
+    conditions."""
+    n = h.n
+    out = []
+    for _ in range(3):
+        out.append(_power(n, class_x, _random_exps(rng, n, d)))
+        if d >= ydeg:
+            y = class_y(h, rng.randrange(1, n + 1))
+            out.append(y * _power(n, class_x, _random_exps(rng, n, d - ydeg)))
+        if d >= 1:
+            j = rng.randrange(1, d + 1)
+            base = _power(n, class_x, _random_exps(rng, n, d - j))
+            out.append(_power(n, class_t, _random_exps(rng, n, j)) * base)
+    out.append(sum((c * rng.randint(-3, 3) for c in out), GkmClass.zero(n)))
+    for _ in range(2):
+        out.append(GkmClass(n, {
+            w: IntPoly(n, {tuple(_random_exps(rng, n, d)): rng.randint(-2, 2)
+                           for _ in range(2)})
+            for w in all_permutations(n)
+        }))
+    return [c for c in out if not c.is_zero()]
+
+
+LARGEST = ((3, 4, 4, 4), (4, 4, 4, 4))
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(h, id=str(h), marks=[pytest.mark.long] if h.values in LARGEST else [])
+    for h in special_forms(4)
+])
+def test_degree_chain_matches_t_monomial_oracle(h):
+    rng = random.Random(hash(h.values) % 10007)
+    answers = []
+    for d in range(sum(box_counts(h)) + 2):
+        oracle = DegreeOracle(h, d)
+        assert (graded_quotient_rank(h, 2 * d), sn_fixed_rank(h, 2 * d)) == oracle.ranks()
+        for c in _degree_classes(h, d, oracle.ydeg, rng):
+            answers.append(in_t_ideal(c, h))
+            assert answers[-1] == oracle.in_t_ideal(c), (h.values, d)
+    assert any(answers) and not all(answers)
 
 
 def element_to_gkm_e1(h):
