@@ -52,7 +52,7 @@ from .gkm import (
 from .hessenberg import HessenbergFunction, inc_graph, new_hessenberg
 from .poincare import reconcile
 from .symfunc import DEGREE_BOUND, change_basis, csf_by_coloring, is_positive, omega
-from .tableaux import Partition, PTableau, enumerate_p_tableaux, inversions, syt_with_bottom_pair
+from .tableaux import Partition, PTableau, p_tableaux_with_inversions, syt_with_bottom_pair
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -145,14 +145,13 @@ def _cmd_tableaux(cfg: RunConfig) -> tuple[str, int]:
         raise HesscombError("tableaux requires --shape")
     if cfg.shape.size != h.n:
         raise HesscombError(f"shape {cfg.shape} has size {cfg.shape.size}, expected {h.n}")
-    tabs = enumerate_p_tableaux(h, cfg.shape)
+    tabs = p_tableaux_with_inversions(h, cfg.shape)
     data = {
         "h": list(h.values),
         "shape": list(cfg.shape.parts),
         "count": len(tabs),
         "tableaux": [
-            {"rows": [list(r) for r in t.rows], "inversions": inversions(h, t).count}
-            for t in tabs
+            {"rows": [list(r) for r in t.rows], "inversions": inv} for t, inv in tabs
         ],
     }
     return _json(data), EXIT_OK

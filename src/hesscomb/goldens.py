@@ -26,7 +26,7 @@ from .gkm import (
     class_y_transpose,
 )
 from .hessenberg import new_hessenberg
-from .tableaux import Partition, enumerate_p_tableaux, inversions
+from .tableaux import Partition, p_tableaux_with_inversions
 
 _X2_VALUES = {
     "123": "t2",
@@ -221,9 +221,7 @@ def _verify_ptableaux() -> GoldenResult:
     data = _GOLDENS["ex-simple-ptableaux"]
     h = new_hessenberg(data["h"])
     shape = Partition(tuple(data["shape"]))
-    actual = sorted(
-        (t.rows, inversions(h, t).count) for t in enumerate_p_tableaux(h, shape)
-    )
+    actual = sorted((t.rows, inv) for t, inv in p_tableaux_with_inversions(h, shape))
     expected = sorted(
         (tuple(tuple(r) for r in item["rows"]), item["inversions"])
         for item in data["tableaux"]

@@ -15,6 +15,7 @@ from .errors import (
     BelowDiagonal,
     EmptyInput,
     FormMismatch,
+    MalformedInput,
     NotWeaklyIncreasing,
     OutOfRange,
     checked_int,
@@ -55,7 +56,11 @@ class HessenbergFunction:
 
 def new_hessenberg(values: Iterable[int]) -> HessenbergFunction:
     """Validate and build a Hessenberg function from its value list."""
-    vals = tuple(checked_int(v, "a Hessenberg value") for v in values)
+    try:
+        items = iter(values)
+    except TypeError:
+        raise MalformedInput(f"Hessenberg values must be a sequence, got {values!r:.40}") from None
+    vals = tuple(checked_int(v, "a Hessenberg value") for v in items)
     if not vals:
         raise EmptyInput("a Hessenberg function needs at least one value")
     n = len(vals)

@@ -17,7 +17,7 @@ from functools import cache
 from .errors import BasisMismatch, DegreeTooLarge, NotSymmetric, checked_int, json_decoder
 from .hessenberg import HessenbergFunction, IncGraph
 from .qpoly import QPolynomial
-from .tableaux import Partition, conjugate, enumerate_p_tableaux, inversions
+from .tableaux import Partition, conjugate, inversion_counts
 
 BASES = ("monomial", "schur", "elementary", "homogeneous")
 DEGREE_BOUND = 8
@@ -316,14 +316,17 @@ def csf_by_coloring(g: IncGraph) -> SymFn:
 
 def csf_schur_by_ptableaux(h: HessenbergFunction) -> SymFn:
     """Schur expansion: coefficient of s_lam is the inversion generating
-    function over P-tableaux of shape lam."""
+    function over P-tableaux of shape lam.
+
+    The inversions are counted during the fill, which places the rows bottom
+    up: a value v entering row r closes one inversion with each placed u in
+    a lower row with v < u <= h(v).  Each shape's tally {q-exponent: count}
+    becomes one QPolynomial; no tableau is built or re-checked."""
     terms: dict[Partition, QPolynomial] = {}
     for lam in partitions_of(h.n):
-        gf = QPolynomial.zero()
-        for t in enumerate_p_tableaux(h, lam):
-            gf = gf + QPolynomial.q(inversions(h, t).count)
-        if gf:
-            terms[lam] = gf
+        counts = inversion_counts(h, lam)
+        if counts:
+            terms[lam] = QPolynomial(counts)
     return SymFn(h.n, "schur", terms)
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import factorial
 
 from .errors import KOutOfRange, NotPTableau, ShapeMismatch, checked_int, json_decoder
@@ -123,47 +125,99 @@ def is_p_tableau(h: HessenbergFunction, t: PTableau) -> bool:
     return True
 
 
-def enumerate_p_tableaux(h: HessenbergFunction, shape: Partition) -> list[PTableau]:
-    """All P-tableaux of the shape, ordered by their reading word.
+def _row_starts(shape: Partition) -> list[int]:
+    """Index in the reading word of each row's first cell."""
+    return [end - length for length, end in zip(shape.parts, accumulate(shape.parts))]
+
+
+def _fill_p_tableaux(
+    h: HessenbergFunction, shape: Partition, leaf: Callable[[list[int], int], None]
+) -> None:
+    """Call leaf(word, inv) once for each P-tableau of the shape, in the order
+    of its reading word; word is that reading word (one list, rewritten in
+    place) and inv its number of P-inversions.
 
     Cells are filled in reading-word order and each cell tries its values in
-    increasing order, so the tableaux come out already sorted."""
+    increasing order, so the words come out sorted.  The row condition
+    left <_P v reads h(left) < v, and the column condition, not v <_P below,
+    reads h(v) >= below; h is weakly increasing, so both are lower bounds on v.
+    Rows fill bottom-up, so when v goes into row r every placed value lies in
+    a row <= r, and the inversions v closes are exactly the placed u in rows
+    below r with v < u <= h(v).  The recursion carries that count, the bit
+    set of placed values and the bit set of values placed in lower rows."""
     if shape.size != h.n:
         raise ShapeMismatch(f"shape size {shape.size} != n = {h.n}")
     n = h.n
-    cells = [(r, c) for r, length in enumerate(shape.parts) for c in range(length)]
-    grid: dict[tuple[int, int], int] = {}
-    used = [False] * (n + 1)
-    out: list[PTableau] = []
+    hv = (0,) + h.values
+    # least_v[b] is the least v with h(v) >= b.
+    least_v = [bisect_left(h.values, b) + 1 for b in range(n + 1)]
+    # window[v] has the bits of v+1..h(v), the larger values incomparable to v.
+    window = [0] + [(1 << (hv[v] + 1)) - (1 << (v + 1)) for v in range(1, n + 1)]
+    # Per cell: the index of the cell beneath it (-1 for none) and whether it
+    # opens a row; any other cell has its left neighbour at the index before.
+    starts = _row_starts(shape)
+    cells = [(starts[r - 1] + c if r > 0 else -1, c == 0)
+             for r, length in enumerate(shape.parts) for c in range(length)]
+    word = [0] * n
 
-    def fill(idx: int) -> None:
+    def fill(idx: int, used: int, lower: int, inv: int) -> None:
         if idx == n:
-            rows = tuple(
-                tuple(grid[(r, c)] for c in range(length))
-                for r, length in enumerate(shape.parts)
-            )
-            out.append(PTableau(shape, rows))
+            leaf(word, inv)
             return
-        r, c = cells[idx]
-        left = grid.get((r, c - 1)) if c > 0 else None
-        below = grid.get((r - 1, c)) if r > 0 else None
-        # The row condition left <_P v reads h(left) < v, and the column
-        # condition, not v <_P below, reads h(v) >= below; h is weakly
-        # increasing, so both are lower bounds on v.
-        lo = 1 if left is None else h(left) + 1
-        if below is not None:
-            lo = max(lo, bisect_left(h.values, below) + 1)
+        below, opens_row = cells[idx]
+        if opens_row:
+            lower = used  # every value placed so far sits in a lower row
+            lo = 1
+        else:
+            lo = hv[word[idx - 1]] + 1
+        if below >= 0:
+            lo = max(lo, least_v[word[below]])
         for v in range(lo, n + 1):
-            if used[v]:
+            bit = 1 << v
+            if used & bit:
                 continue
-            used[v] = True
-            grid[(r, c)] = v
-            fill(idx + 1)
-            used[v] = False
-            del grid[(r, c)]
+            word[idx] = v
+            fill(idx + 1, used | bit, lower, inv + (lower & window[v]).bit_count())
 
-    fill(0)
+    fill(0, 0, 0, 0)
+
+
+def p_tableaux_with_inversions(
+    h: HessenbergFunction, shape: Partition
+) -> list[tuple[PTableau, int]]:
+    """Each P-tableau of the shape with its number of P-inversions, ordered
+    by reading word; the counts are those of `inversions`, kept during the
+    fill (see _fill_p_tableaux)."""
+    spans = [(a, a + length) for a, length in zip(_row_starts(shape), shape.parts)]
+    out: list[tuple[PTableau, int]] = []
+
+    def leaf(word: list[int], inv: int) -> None:
+        out.append((PTableau(shape, tuple(tuple(word[a:b]) for a, b in spans)), inv))
+
+    _fill_p_tableaux(h, shape, leaf)
     return out
+
+
+def enumerate_p_tableaux(h: HessenbergFunction, shape: Partition) -> list[PTableau]:
+    """All P-tableaux of the shape, ordered by their reading word.
+
+    The fill places cells in reading-word order, rows bottom up, and counts
+    P-inversions as it goes: a value v entering row r closes one with each
+    placed u in a lower row with v < u <= h(v).  p_tableaux_with_inversions
+    and inversion_counts report those counts."""
+    return [t for t, _ in p_tableaux_with_inversions(h, shape)]
+
+
+def inversion_counts(h: HessenbergFunction, shape: Partition) -> dict[int, int]:
+    """{k: number of P-tableaux of the shape with k P-inversions}, counted
+    during the fill with no tableau built."""
+    counts: dict[int, int] = {}
+
+    def leaf(_word: list[int], inv: int) -> None:
+        counts[inv] = counts.get(inv, 0) + 1
+
+    _fill_p_tableaux(h, shape, leaf)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -177,7 +231,10 @@ class InversionData:
 
 def inversions(h: HessenbergFunction, t: PTableau) -> InversionData:
     """P-inversions: pairs i < j, incomparable in P_h (neither h(i) < j nor
-    h(j) < i, that is, j <= h(i)), with i in a strictly higher row than j."""
+    h(j) < i, that is, j <= h(i)), with i in a strictly higher row than j.
+
+    Checks t first, since it may come from outside; for the tableaux of a
+    shape, p_tableaux_with_inversions counts them during the fill instead."""
     if not is_p_tableau(h, t):
         raise NotPTableau(f"not a P-tableau for h = {h}")
     level = {v: r for r, row in enumerate(t.rows) for v in row}

@@ -116,6 +116,12 @@ def test_new_hessenberg_rejects_non_integers(values):
         new_hessenberg(values)
 
 
+@pytest.mark.parametrize("values", [5, None])
+def test_new_hessenberg_rejects_non_iterable(values):
+    with pytest.raises(MalformedInput):
+        new_hessenberg(values)
+
+
 def test_coordinates_rejects_non_monomial_basis():
     b3 = basis_B3(H233)
     with pytest.raises(NotInBasis):

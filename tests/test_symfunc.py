@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from functools import cache
 
 import pytest
@@ -20,15 +21,19 @@ from hesscomb import (
     csf_by_coloring,
     csf_schur_by_ptableaux,
     decomposition_counts,
+    enumerate_p_tableaux,
     frobenius_from_decomposition,
     inc_graph,
+    inversions,
     is_positive,
     new_hessenberg,
     omega,
     partitions_of,
     q_factorial,
     q_int,
+    via_ptableaux,
 )
+from hesscomb import tableaux
 from hesscomb.linalg import fraction_solve
 
 BASES = ("monomial", "schur", "elementary", "homogeneous")
@@ -307,6 +312,50 @@ def test_frobenius_matches_omega_csf():
         assert frobenius_from_decomposition(counts) == omega(
             csf_schur_by_ptableaux(h)
         )
+
+
+def schur_by_recounted_ptableaux(h) -> SymFn:
+    """The tableau-by-tableau route: enumerate each shape's P-tableaux and add
+    q^inv(T), recounting inv(T) with `inversions`."""
+    terms = {}
+    for lam in partitions_of(h.n):
+        gf = QPolynomial.zero()
+        for t in enumerate_p_tableaux(h, lam):
+            gf = gf + QPolynomial.q(inversions(h, t).count)
+        if gf:
+            terms[lam] = gf
+    return SymFn(h.n, "schur", terms)
+
+
+N7_CATALOG = ((3, 4, 5, 6, 7, 7, 7), (2, 4, 6, 7, 7, 7, 7), (4, 7, 7, 7, 7, 7, 7),
+              (5, 7, 7, 7, 7, 7, 7))
+
+
+def test_ptableaux_schur_matches_recounted_tableaux():
+    hs = [h for n in range(1, 7) for h in all_hessenberg_functions(n)]
+    hs += [new_hessenberg(v) for v in N7_CATALOG]
+    for h in hs:
+        assert csf_schur_by_ptableaux(h) == schur_by_recounted_ptableaux(h), h.values
+
+
+def test_ptableaux_schur_builds_and_rechecks_no_tableau(monkeypatch):
+    # The Schur route tallies inversion counts during the fill; a tableau
+    # object or a re-check per filling would raise here.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("per-tableau work on the tallying route")
+
+    for name in ("inversions", "is_p_tableau"):
+        original = getattr(tableaux, name)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("hesscomb"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(tableaux.PTableau, "__post_init__", refuse)
+    h = new_hessenberg([3, 5, 5, 5, 5])
+    assert csf_schur_by_ptableaux(h).coefficient(Partition((1, 1, 1, 1, 1))) == (
+        q_int(3) * q_factorial(4)
+    )
+    assert via_ptableaux(h)(1) == math.factorial(5)
 
 
 def test_coloring_matches_ptableaux_schur():

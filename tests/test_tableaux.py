@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -16,9 +17,11 @@ from hesscomb import (
     count_syt,
     enumerate_p_tableaux,
     enumerate_syt,
+    inversion_counts,
     inversions,
     is_p_tableau,
     new_hessenberg,
+    p_tableaux_with_inversions,
     partitions_of,
     q_factorial,
     q_int,
@@ -128,6 +131,26 @@ def test_inversion_examples():
     h = new_hessenberg([2, 3, 3])
     t = fill_shape(Partition((1, 1, 1)), (3, 2, 1))
     assert inversions(h, t).count == 2
+
+
+def test_fill_inversion_counts_match_inversions_oracle():
+    # The counts kept during the fill against a recount of each finished
+    # tableau by `inversions`, which re-checks it and lists the pairs.
+    for n in range(1, 6):
+        for h in all_hessenberg_functions(n):
+            for shape in partitions_of(n):
+                pairs = p_tableaux_with_inversions(h, shape)
+                assert [t for t, _ in pairs] == enumerate_p_tableaux(h, shape)
+                assert all(inv == inversions(h, t).count for t, inv in pairs)
+                oracle = Counter(inversions(h, t).count for t, _ in pairs)
+                assert inversion_counts(h, shape) == dict(oracle)
+
+
+def test_fill_rejects_shape_of_wrong_size():
+    h = new_hessenberg([2, 3, 3])
+    for enumerate_ in (enumerate_p_tableaux, p_tableaux_with_inversions, inversion_counts):
+        with pytest.raises(ShapeMismatch):
+            enumerate_(h, Partition((2, 2)))
 
 
 def test_inversion_pairs_are_higher_and_incomparable():
