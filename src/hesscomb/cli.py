@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from . import goldens
@@ -38,7 +37,7 @@ from .cohomology import (
     basis_transpose,
     transition_blocks,
 )
-from .errors import GuardrailExceeded, HesscombError, UnsupportedFormat
+from .errors import GuardrailExceeded, HesscombError, UnsupportedFormat, checked_int
 from .gkm import (
     build_gkm_graph,
     check_gkm_condition,
@@ -59,15 +58,6 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
 DEFAULT_MAX_N = 7
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    h: HessenbergFunction | None
-    shape: Partition | None
-    fmt: str
-    max_n: int
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -108,15 +98,15 @@ def _guard(h: HessenbergFunction, max_n: int) -> None:
         )
 
 
-def _cmd_csf(cfg: RunConfig) -> tuple[str, int]:
-    h = cfg.h
+def _cmd_csf(args) -> tuple[str, int]:
+    h = args.h
     f = csf_by_coloring(inc_graph(h))
     schur = change_basis(f, "schur")
     at_one = change_basis(f.at_q(1), "elementary")
     omega_h = change_basis(omega(schur), "homogeneous")
-    if cfg.fmt == "latex":
+    if args.fmt == "latex":
         return schur.pretty(), EXIT_OK
-    _require_format(cfg.fmt, ("json", "latex"))
+    _require_format(args.fmt, ("json", "latex"))
     data = {
         "h": list(h.values),
         "monomial": _terms_data(f),
@@ -129,26 +119,26 @@ def _cmd_csf(cfg: RunConfig) -> tuple[str, int]:
     return _json(data), EXIT_OK
 
 
-def _cmd_poincare(cfg: RunConfig) -> tuple[str, int]:
-    report = reconcile(cfg.h)
-    if cfg.fmt == "latex":
+def _cmd_poincare(args) -> tuple[str, int]:
+    report = reconcile(args.h)
+    if args.fmt == "latex":
         return report.polynomial().latex(), EXIT_OK
-    _require_format(cfg.fmt, ("json", "latex"))
+    _require_format(args.fmt, ("json", "latex"))
     code = EXIT_OK if report.agree else EXIT_VERIFICATION
     return report.to_json(), code
 
 
-def _cmd_tableaux(cfg: RunConfig) -> tuple[str, int]:
-    _require_format(cfg.fmt, ("json",))
-    h = cfg.h
-    if cfg.shape is None:
+def _cmd_tableaux(args) -> tuple[str, int]:
+    _require_format(args.fmt, ("json",))
+    h = args.h
+    if args.shape is None:
         raise HesscombError("tableaux requires --shape")
-    if cfg.shape.size != h.n:
-        raise HesscombError(f"shape {cfg.shape} has size {cfg.shape.size}, expected {h.n}")
-    tabs = p_tableaux_with_inversions(h, cfg.shape)
+    if args.shape.size != h.n:
+        raise HesscombError(f"shape {args.shape} has size {args.shape.size}, expected {h.n}")
+    tabs = p_tableaux_with_inversions(h, args.shape)
     data = {
         "h": list(h.values),
-        "shape": list(cfg.shape.parts),
+        "shape": list(args.shape.parts),
         "count": len(tabs),
         "tableaux": [
             {"rows": [list(r) for r in t.rows], "inversions": inv} for t, inv in tabs
@@ -159,7 +149,7 @@ def _cmd_tableaux(cfg: RunConfig) -> tuple[str, int]:
 
 def _parse_class_name(h: HessenbergFunction, name: str, variant: str):
     kind, index = name[0], name[1:]
-    if kind not in ("x", "y", "t") or not index.isdigit():
+    if kind not in ("x", "y", "t") or not (index.isascii() and index.isdigit()):
         raise HesscombError(f"unknown class name {name!r}; use e.g. x2, y2, t1")
     k = int(index)
     if kind == "t":
@@ -173,10 +163,10 @@ def _parse_class_name(h: HessenbergFunction, name: str, variant: str):
     return class_y(h, k)
 
 
-def _cmd_gkm(cfg: RunConfig, args) -> tuple[str, int]:
-    h = cfg.h
+def _cmd_gkm(args) -> tuple[str, int]:
+    h = args.h
     if args.dump_class:
-        _require_format(cfg.fmt, ("json",))
+        _require_format(args.fmt, ("json",))
         c = _parse_class_name(h, args.dump_class, args.variant)
         holds, bad = check_gkm_condition(build_gkm_graph(h), c)
         data = {
@@ -193,14 +183,14 @@ def _cmd_gkm(cfg: RunConfig, args) -> tuple[str, int]:
             }
         return _json(data), EXIT_OK
     if args.relations:
-        _require_format(cfg.fmt, ("json",))
+        _require_format(args.fmt, ("json",))
         rel = verify_relations(h)
         data = {"h": list(h.values), "relations": rel, "all_hold": all(rel.values())}
         return _json(data), EXIT_OK if data["all_hold"] else EXIT_VERIFICATION
     g = build_gkm_graph(h)
-    if cfg.fmt == "dot":
+    if args.fmt == "dot":
         return g.to_dot(), EXIT_OK
-    _require_format(cfg.fmt, ("json", "dot"))
+    _require_format(args.fmt, ("json", "dot"))
     return g.to_json(), EXIT_OK
 
 
@@ -213,13 +203,13 @@ def _basis_payload(b: BasisSet) -> dict:
     }
 
 
-def _cmd_basis(cfg: RunConfig, args) -> tuple[str, int]:
-    h = cfg.h
+def _cmd_basis(args) -> tuple[str, int]:
+    h = args.h
     if args.blocks:
         blocks = transition_blocks(h)
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             return "\n".join(b.to_csv() for b in blocks), EXIT_OK
-        _require_format(cfg.fmt, ("json", "csv"))
+        _require_format(args.fmt, ("json", "csv"))
         dets = [b.determinant() for b in blocks]
         data = {
             "h": list(h.values),
@@ -235,7 +225,7 @@ def _cmd_basis(cfg: RunConfig, args) -> tuple[str, int]:
             ],
         }
         return _json(data), EXIT_OK
-    _require_format(cfg.fmt, ("json",))
+    _require_format(args.fmt, ("json",))
     which = args.which
     if which == "transpose":
         sets = basis_transpose(h)
@@ -255,13 +245,15 @@ def _cmd_basis(cfg: RunConfig, args) -> tuple[str, int]:
 def _parse_tableau_rows(text: str) -> tuple[tuple[int, ...], ...]:
     try:
         rows = json.loads(text)
-        return tuple(tuple(int(v) for v in row) for row in rows)
+        return tuple(tuple(checked_int(v, "a tableau entry") for v in row) for row in rows)
+    except HesscombError:
+        raise
     except (ValueError, TypeError) as exc:
         raise HesscombError(f"could not parse tableau rows from {text!r}") from exc
 
 
-def _bijection_forward(cfg: RunConfig, args) -> tuple[str, int]:
-    h = cfg.h
+def _bijection_forward(args) -> tuple[str, int]:
+    h = args.h
     exps = _parse_int_list(args.monomial, "--monomial")
     if args.map == "b3":
         if args.k is None:
@@ -295,8 +287,8 @@ def _bijection_forward(cfg: RunConfig, args) -> tuple[str, int]:
     return _json(data), EXIT_OK
 
 
-def _bijection_inverse(cfg: RunConfig, args) -> tuple[str, int]:
-    h = cfg.h
+def _bijection_inverse(args) -> tuple[str, int]:
+    h = args.h
     rows = _parse_tableau_rows(args.tableau)
     shape = Partition(tuple(len(r) for r in rows))
     t = PTableau(shape, rows)
@@ -323,8 +315,8 @@ def _bijection_inverse(cfg: RunConfig, args) -> tuple[str, int]:
     return _json(data), EXIT_OK
 
 
-def _bijection_round_trip(cfg: RunConfig, args) -> tuple[str, int]:
-    h = cfg.h
+def _bijection_round_trip(args) -> tuple[str, int]:
+    h = args.h
     # Built per call: a module-level table would keep the functions bound at
     # import time even if this module's attributes are replaced later.
     basis, phi, psi = {
@@ -340,19 +332,19 @@ def _bijection_round_trip(cfg: RunConfig, args) -> tuple[str, int]:
     return _json(data), EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _cmd_bijection(cfg: RunConfig, args) -> tuple[str, int]:
-    _require_format(cfg.fmt, ("json",))
+def _cmd_bijection(args) -> tuple[str, int]:
+    _require_format(args.fmt, ("json",))
     if args.round_trip:
-        return _bijection_round_trip(cfg, args)
+        return _bijection_round_trip(args)
     if args.monomial is not None:
-        return _bijection_forward(cfg, args)
+        return _bijection_forward(args)
     if args.tableau is not None:
-        return _bijection_inverse(cfg, args)
+        return _bijection_inverse(args)
     raise HesscombError("bijection needs --monomial, --tableau, or --round-trip")
 
 
-def _cmd_verify_goldens(cfg: RunConfig) -> tuple[str, int]:
-    _require_format(cfg.fmt, ("json",))
+def _cmd_verify_goldens(args) -> tuple[str, int]:
+    _require_format(args.fmt, ("json",))
     results = goldens.verify_all()
     items = []
     for r in results:
@@ -429,38 +421,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    h = None
-    if getattr(args, "h_values", None) is not None:
-        h = new_hessenberg(_parse_int_list(args.h_values, "--h"))
-        _guard(h, args.max_n)
-    shape = None
-    if getattr(args, "shape", None) is not None:
-        shape = Partition(_parse_int_list(args.shape, "--shape"))
-    command = args.command
-    if command == "verify-paper":
-        command = "verify-goldens"
-    return RunConfig(command, h, shape, args.fmt, args.max_n)
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The parsed namespace with h (from --h, guarded by --max-n) and shape
+    resolved to their objects, None when not given."""
+    args = build_parser().parse_args(argv)
+    args.h = None
+    if args.h_values is not None:
+        args.h = new_hessenberg(_parse_int_list(args.h_values, "--h"))
+        _guard(args.h, args.max_n)
+    if args.shape is not None:
+        args.shape = Partition(_parse_int_list(args.shape, "--shape"))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        cfg = _config_from(args)
-        if cfg.command == "csf":
-            out, code = _cmd_csf(cfg)
-        elif cfg.command == "poincare":
-            out, code = _cmd_poincare(cfg)
-        elif cfg.command == "tableaux":
-            out, code = _cmd_tableaux(cfg)
-        elif cfg.command == "gkm":
-            out, code = _cmd_gkm(cfg, args)
-        elif cfg.command == "basis":
-            out, code = _cmd_basis(cfg, args)
-        elif cfg.command == "bijection":
-            out, code = _cmd_bijection(cfg, args)
+        args = _parse_args(argv)
+        if args.command == "csf":
+            out, code = _cmd_csf(args)
+        elif args.command == "poincare":
+            out, code = _cmd_poincare(args)
+        elif args.command == "tableaux":
+            out, code = _cmd_tableaux(args)
+        elif args.command == "gkm":
+            out, code = _cmd_gkm(args)
+        elif args.command == "basis":
+            out, code = _cmd_basis(args)
+        elif args.command == "bijection":
+            out, code = _cmd_bijection(args)
         else:
-            out, code = _cmd_verify_goldens(cfg)
+            out, code = _cmd_verify_goldens(args)
     except HesscombError as exc:
         _emit(_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return EXIT_VALIDATION

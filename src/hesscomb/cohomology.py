@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cache
-from operator import neg
+from operator import add, neg, sub
 
 from .errors import (
     DegenerateForm,
@@ -368,124 +368,98 @@ def basis_transpose(h: HessenbergFunction) -> tuple[BasisSet, BasisSet, BasisSet
 
 
 # --- normal form --------------------------------------------------------------
+#
+# Inside the rewrite engine a monomial is the pair (exps, y): its exponent
+# tuple and its y index, with y = 0 for no y factor.  A rule table holds
+# (exponent change, coefficient) pairs, which _shifted adds to the monomial
+# being rewritten; an XYMonomial is built only for an output term.
+
+_Table = tuple[tuple[tuple[int, ...], int], ...]
 
 
 @cache
-def _complete_homogeneous(k: int, lo: int, hi: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of the degree-k complete homogeneous sum in x_lo..x_hi."""
+def _straighten_rule(v: int, k: int, lo: int, hi: int, n: int) -> _Table:
+    """Rewrites x_v^k by h_k(x_lo..x_hi) = 0, where lo <= v <= hi: every
+    other term of the complete homogeneous sum, negated, in place of x_v^k."""
     out = []
     for combo in itertools.combinations_with_replacement(range(lo, hi + 1), k):
-        exps = [0] * n
-        for v in combo:
-            exps[v - 1] += 1
-        out.append(tuple(exps))
+        if combo != (v,) * k:
+            delta = [0] * n
+            delta[v - 1] = -k
+            for l in combo:
+                delta[l - 1] += 1
+            out.append((tuple(delta), -1))
     return tuple(out)
 
 
 @cache
-def _x_straighten_rule(v: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Replacements for x_v^{n+1-v} from h_{n+1-v}(x_1..x_v) = 0: the stripped
-    exponent vectors (with the x_v^{n+1-v} term removed), to be negated."""
-    k = n + 1 - v
-    lead = tuple(k if i == v - 1 else 0 for i in range(n))
-    return tuple(e for e in _complete_homogeneous(k, 1, v, n) if e != lead)
-
-
-@cache
-def _y_straighten_rule(v: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Replacements for x_v^{v-1} from h_{v-1}(x_v..x_n) = 0 in the y sector."""
-    k = v - 1
-    lead = tuple(k if i == v - 1 else 0 for i in range(n))
-    return tuple(e for e in _complete_homogeneous(k, v, n, n) if e != lead)
-
-
-@cache
-def _exclusion_rule(h1: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Replacements for x_1 x_2 ... x_{h(1)} from x_1 * prod_{l=2}^{h(1)}
-    (x_1 - x_l) = 0: pairs (exponent vector, coefficient)."""
+def _difference_product(h1: int, n: int) -> _Table:
+    """prod_{l=2}^{h1} (x_1 - x_l) expanded, one term per subset S of {2..h1}:
+    (-1)^|S| x_1^{h1-1-|S|} prod_{l in S} x_l.  The last term, for S = {2..h1},
+    is prod_{l=2}^{h1} (-x_l)."""
     out = []
-    others = list(range(2, h1 + 1))
-    for size in range(len(others)):
-        for subset in itertools.combinations(others, size):
+    for size in range(h1):
+        for subset in itertools.combinations(range(2, h1 + 1), size):
             exps = [0] * n
-            exps[0] = h1 - size
+            exps[0] = h1 - 1 - size
             for l in subset:
                 exps[l - 1] = 1
-            sign = 1 if (size + h1) % 2 == 0 else -1
-            out.append((tuple(exps), sign))
+            out.append((tuple(exps), -1 if size % 2 else 1))
     return tuple(out)
 
 
-def _find_rewrite(
-    m: XYMonomial, n: int, h1: int
-) -> list[tuple[XYMonomial, int]] | None:
-    """One rewriting step for a single monomial, or None when it is normal."""
-    exps = m.xexp
-    if m.y is not None:
-        if m.y == n:
+@cache
+def _exclusion_rule(h1: int, n: int) -> _Table:
+    """Rewrites x_1 x_2 ... x_{h(1)} by x_1 * prod_{l=2}^{h(1)} (x_1 - x_l) = 0:
+    x_1 times each other term of the product, with its sign moved past the
+    last term's (-1)^{h(1)-1}, in place of x_1 times that last term."""
+    *others, (lead, _) = _difference_product(h1, n)
+    sign = -1 if h1 % 2 else 1
+    return tuple((tuple(map(sub, exps, lead)), sign * c) for exps, c in others)
+
+
+def _shifted(exps: tuple[int, ...], y: int, table: _Table) -> list:
+    """The terms of a rule table applied to x^exps, each with the y index y."""
+    return [((tuple(map(add, exps, delta)), y), c) for delta, c in table]
+
+
+def _find_rewrite(exps: tuple[int, ...], y: int, n: int, h1: int) -> list | None:
+    """One rewriting step for the monomial (exps, y), as ((exps, y), coefficient)
+    pairs, or None when it is normal."""
+    if y:
+        if y == n:
             # y_n = prod_{l=2}^{h(1)} (x_1 - x_l) - sum_{k<n} y_k
-            out = []
-            for size in range(h1):
-                for subset in itertools.combinations(range(2, h1 + 1), size):
-                    new = list(exps)
-                    new[0] += h1 - 1 - size
-                    for l in subset:
-                        new[l - 1] += 1
-                    sign = 1 if size % 2 == 0 else -1
-                    out.append((XYMonomial(tuple(new)), sign))
-            for k in range(1, n):
-                out.append((XYMonomial(exps, k), -1))
-            return out
+            out = _shifted(exps, 0, _difference_product(h1, n))
+            return out + [((exps, k), -1) for k in range(1, n)]
         if exps[0] > 0:
             return []
         if _divisible(exps, range(h1 + 1, n + 1)):
-            new = list(exps)
-            for l in range(h1 + 1, n + 1):
-                new[l - 1] -= 1
-            for l in range(2, n + 1):
-                new[l - 1] += 1
-            sign = 1 if (h1 - 1) % 2 == 0 else -1
-            return [(XYMonomial(tuple(new)), sign)]
+            # y_k x_{h(1)+1}...x_n = prod_{l=2}^{h(1)} (-x_l) * x_{h(1)+1}...x_n
+            return _shifted(exps, 0, _difference_product(h1, n)[-1:])
         for v in range(2, n + 1):
-            if exps[v - 1] >= v - 1 and v - 1 > 0:
-                rest = list(exps)
-                rest[v - 1] -= v - 1
-                return [
-                    (XYMonomial(tuple(r + e for r, e in zip(rest, rep)), m.y), -1)
-                    for rep in _y_straighten_rule(v, n)
-                ]
+            if exps[v - 1] >= v - 1:
+                return _shifted(exps, y, _straighten_rule(v, v - 1, v, n, n))
         return None
     for v in range(n, 0, -1):
         if exps[v - 1] >= n + 1 - v:
-            rest = list(exps)
-            rest[v - 1] -= n + 1 - v
-            return [
-                (XYMonomial(tuple(r + e for r, e in zip(rest, rep))), -1)
-                for rep in _x_straighten_rule(v, n)
-            ]
+            return _shifted(exps, 0, _straighten_rule(v, n + 1 - v, 1, v, n))
     if _divisible(exps, range(1, h1 + 1)):
-        rest = list(exps)
-        for l in range(1, h1 + 1):
-            rest[l - 1] -= 1
-        return [
-            (XYMonomial(tuple(r + e for r, e in zip(rest, rep))), c)
-            for rep, c in _exclusion_rule(h1, n)
-        ]
+        return _shifted(exps, 0, _exclusion_rule(h1, n))
     return None
 
 
-def _rewrite_key(m: XYMonomial, n: int) -> tuple:
-    """Position of m in the rewrite order as a min-heap key (smallest key =
-    highest monomial).  y_n monomials come first; then y_k (k < n), by the
-    x-exponents read from x_1 upward, ties broken by k; then pure-x monomials,
-    by the x-exponents read from x_n down.  Distinct monomials get distinct
-    keys, and every rule of _find_rewrite replaces a monomial by strictly
-    lower ones."""
-    if m.y is None:
-        return (2, *map(neg, reversed(m.xexp)))
-    if m.y == n:
-        return (0, *map(neg, m.xexp))
-    return (1, *map(neg, m.xexp), m.y)
+def _rewrite_key(exps: tuple[int, ...], y: int, n: int) -> tuple:
+    """Position of the monomial (exps, y) in the rewrite order as a min-heap
+    key (smallest key = highest monomial).  y_n monomials come first; then
+    y_k (k < n), by the x-exponents read from x_1 upward, ties broken by k;
+    then pure-x monomials, by the x-exponents read from x_n down.  Distinct
+    monomials get distinct keys, and every rule of _find_rewrite replaces a
+    monomial by strictly lower ones."""
+    if not y:
+        return (2, *map(neg, reversed(exps)))
+    if y == n:
+        return (0, *map(neg, exps))
+    return (1, *map(neg, exps), y)
 
 
 def normal_form(e: XYElement, h: HessenbergFunction) -> XYElement:
@@ -493,35 +467,41 @@ def normal_form(e: XYElement, h: HessenbergFunction) -> XYElement:
 
     Monomials are taken highest first in the rewrite order, so each one is
     rewritten once, after every contribution to its coefficient has arrived.
-    Raises NonTerminating if a rule fails to descend in that order."""
+    The rules run on (exps, y) pairs; an XYMonomial is built once for each
+    output term.  Raises NonTerminating if a rule fails to descend in that
+    order."""
     h1 = _one_row_h1(h)
     n = h.n
     _check_n(e.n, h)
-    # rewrite key -> [monomial, coefficient]; keys hash faster than monomials
-    pending = {_rewrite_key(m, n): [m, c] for m, c in e.terms.items()}
+    # rewrite key -> [exps, y, coefficient]; keys hash faster than monomials
+    pending = {}
+    for m, c in e.terms.items():
+        y = m.y or 0
+        pending[_rewrite_key(m.xexp, y, n)] = [m.xexp, y, c]
     heap = list(pending)
     heapq.heapify(heap)
     out: dict[XYMonomial, int] = {}
     while heap:
         key = heapq.heappop(heap)
-        m, c = pending.pop(key)
+        exps, y, c = pending.pop(key)
         if c == 0:
             continue
-        replacement = _find_rewrite(m, n, h1)
+        replacement = _find_rewrite(exps, y, n, h1)
         if replacement is None:
-            out[m] = c
+            out[XYMonomial(exps, y or None)] = c
             continue
-        for m2, c2 in replacement:
-            key2 = _rewrite_key(m2, n)
+        for (exps2, y2), c2 in replacement:
+            key2 = _rewrite_key(exps2, y2, n)
             entry = pending.get(key2)
             if entry is not None:
-                entry[1] += c * c2
+                entry[2] += c * c2
             elif key2 > key:
-                pending[key2] = [m2, c * c2]
+                pending[key2] = [exps2, y2, c * c2]
                 heapq.heappush(heap, key2)
             else:
                 raise NonTerminating(
-                    f"rewriting {m.pretty()} produced {m2.pretty()}, which is not lower"
+                    f"rewriting {XYMonomial(exps, y or None).pretty()} produced "
+                    f"{XYMonomial(exps2, y2 or None).pretty()}, which is not lower"
                 )
     return XYElement(n, out)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cohomology import basis_B1, basis_B3, degree_gf
 from .errors import FormMismatch, OutOfRange
-from .gkm import box_counts, graded_quotient_rank
+from .gkm import betti_numbers
 from .hessenberg import HessenbergFunction, _one_row_h1
 from .qpoly import QPolynomial, q_factorial, q_int
 from .symfunc import csf_schur_by_ptableaux
@@ -49,16 +49,18 @@ class PoincareReport:
 
 
 def closed_form(h: HessenbergFunction) -> QPolynomial:
-    """h(1)_q (n-1)_q! + (n-1) q^(h(1)-1) (n-h(1))_q (n-2)_q!."""
+    """h(1)_q (n-1)_q! + (n-1) q^(h(1)-1) (n-h(1))_q (n-2)_q!, the second
+    summand taken only for n >= 2 (its factor n-1 is 0 at n = 1)."""
     h1, n = _one_row_h1(h), h.n
-    first = q_int(h1) * q_factorial(n - 1)
-    second = (
-        QPolynomial.from_int(n - 1)
-        * QPolynomial.q(h1 - 1)
-        * q_int(n - h1)
-        * q_factorial(n - 2)
-    )
-    return first + second
+    total = q_int(h1) * q_factorial(n - 1)
+    if n >= 2:
+        total = total + (
+            QPolynomial.from_int(n - 1)
+            * QPolynomial.q(h1 - 1)
+            * q_int(n - h1)
+            * q_factorial(n - 2)
+        )
+    return total
 
 
 def via_ptableaux(h: HessenbergFunction) -> QPolynomial:
@@ -79,13 +81,7 @@ def via_gkm(h: HessenbergFunction) -> QPolynomial:
     """Graded ranks of the GKM quotient model; guarded to n <= GKM_MAX_N."""
     if h.n > GKM_MAX_N:
         raise OutOfRange(f"GKM ranks guarded to n <= {GKM_MAX_N}, got n = {h.n}")
-    top = sum(box_counts(h))
-    coeffs = {}
-    for d in range(top + 1):
-        r = graded_quotient_rank(h, 2 * d)
-        if r:
-            coeffs[d] = r
-    return QPolynomial(coeffs)
+    return QPolynomial(dict(enumerate(betti_numbers(h))))
 
 
 def reconcile(h: HessenbergFunction) -> PoincareReport:

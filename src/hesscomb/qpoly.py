@@ -152,7 +152,9 @@ def q_int(k: int) -> QPolynomial:
 
 
 def q_factorial(k: int) -> QPolynomial:
-    """q-analog [k]_q! = [1]_q [2]_q ... [k]_q."""
+    """q-analog [k]_q! = [1]_q [2]_q ... [k]_q; [0]_q! = 1."""
+    if k < 0:
+        raise OutOfRange("q_factorial of a negative integer")
     out = QPolynomial.one()
     for j in range(1, k + 1):
         out = out * q_int(j)

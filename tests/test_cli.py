@@ -214,6 +214,24 @@ def test_bijection_inverse_b1(capsys):
     assert data["output"] == {"x": [2, 0, 0]}
 
 
+def test_non_integer_tableau_entries_are_malformed(capsys):
+    # entries must be JSON integers: no float, bool or digit string is coerced
+    for tableau in ("[[1.9],[2],[3]]", "[[true],[2],[3]]", '[["1"],[2],[3]]'):
+        code, data = run_json(
+            capsys, ["bijection", "--h", "2,3,3", "--map", "nilpotent", "--tableau", tableau]
+        )
+        assert code == 2, tableau
+        assert data["error"]["type"] == "MalformedInput", tableau
+
+
+def test_non_ascii_digit_class_index_is_a_validation_error(capsys):
+    # str.isdigit accepts a superscript two, int() does not
+    code, data = run_json(capsys, ["gkm", "--h", "2,3,3", "--dump-class", "x\u00b2"])
+    assert code == 2
+    assert data["error"]["type"] == "HesscombError"
+    assert "unknown class name" in data["error"]["message"]
+
+
 def test_bijection_round_trips(capsys):
     for map_name in ("nilpotent", "b1", "b3"):
         code, data = run_json(

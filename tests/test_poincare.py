@@ -30,6 +30,15 @@ def test_closed_form_examples():
         closed_form(new_hessenberg([2, 3, 4, 4]))
 
 
+def test_closed_form_and_reconcile_at_n1():
+    # closed_form takes the (n-1) (n-2)_q! summand only for n >= 2
+    h = new_hessenberg([1])
+    assert closed_form(h) == QPolynomial.one()
+    report = reconcile(h)
+    assert report.agree
+    assert report.via_gkm == QPolynomial.one()
+
+
 def test_via_ptableaux_examples():
     assert via_ptableaux(one_row(3, 2)) == QPolynomial({0: 1, 1: 4, 2: 1})
     assert via_ptableaux(new_hessenberg([1, 2, 3])) == QPolynomial({0: 6})

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hesscomb import QPolynomial, q_factorial, q_int
+from hesscomb.errors import OutOfRange
 
 qpolys = st.dictionaries(
     st.integers(min_value=0, max_value=8),
@@ -28,6 +29,13 @@ def test_q_factorial_values():
     assert q_factorial(0) == QPolynomial.one()
     assert q_factorial(3) == q_int(1) * q_int(2) * q_int(3)
     assert q_factorial(4)(1) == 24
+
+
+def test_q_factorial_of_a_negative_integer_raises():
+    # like q_int: [k]_q! is defined for k >= 0 only
+    for k in (-1, -2):
+        with pytest.raises(OutOfRange):
+            q_factorial(k)
 
 
 def test_arithmetic_examples():

@@ -47,11 +47,12 @@ def lifo_normal_form(e, h):
         steps += 1
         if steps > LIFO_STEP_LIMIT:
             raise NonTerminating("rewrite step limit exceeded")
-        replacement = _find_rewrite(m, n, h1)
+        replacement = _find_rewrite(m.xexp, m.y or 0, n, h1)
         if replacement is None:
             out[m] = out.get(m, 0) + c
         else:
-            for m2, c2 in replacement:
+            for (exps2, y2), c2 in replacement:
+                m2 = XYMonomial(exps2, y2 or None)
                 pending[m2] = pending.get(m2, 0) + c * c2
     return XYElement(n, out)
 
@@ -102,18 +103,18 @@ def test_every_rule_descends_in_the_rewrite_order():
                 monos += [XYMonomial(exps, k) for k in range(1, n + 1)]
             keys = {}
             for m in monos:
-                key = _rewrite_key(m, n)
+                key = _rewrite_key(m.xexp, m.y or 0, n)
                 assert keys.setdefault(key, m) == m, "two monomials share a key"
-                for m2, _ in _find_rewrite(m, n, h1) or ():
-                    assert _rewrite_key(m2, n) > key, (n, h1, m, m2)
+                for m2, _ in _find_rewrite(m.xexp, m.y or 0, n, h1) or ():
+                    assert _rewrite_key(*m2, n) > key, (n, h1, m, m2)
 
 
 def test_each_monomial_is_rewritten_once(monkeypatch):
     seen = []
 
-    def counting(m, n, h1):
-        seen.append(m)
-        return _find_rewrite(m, n, h1)
+    def counting(exps, y, n, h1):
+        seen.append((exps, y))
+        return _find_rewrite(exps, y, n, h1)
 
     monkeypatch.setattr(cohomology, "_find_rewrite", counting)
     h = one_row(5, 3)
@@ -125,8 +126,8 @@ def test_each_monomial_is_rewritten_once(monkeypatch):
 
 def test_non_descending_rule_raises(monkeypatch):
     # a rule that maps x2 back onto itself would loop forever; the order catches it
-    def cyclic(m, n, h1):
-        return [(m, 1)] if m.xexp == (0, 1, 0) else _find_rewrite(m, n, h1)
+    def cyclic(exps, y, n, h1):
+        return [((exps, y), 1)] if exps == (0, 1, 0) else _find_rewrite(exps, y, n, h1)
 
     monkeypatch.setattr(cohomology, "_find_rewrite", cyclic)
     with pytest.raises(NonTerminating):
@@ -176,3 +177,27 @@ def test_product_beyond_the_lifo_step_limit():
     union = list(basis_B1(h).elements) + list(basis_B2(h).elements)
     coordinates(nf, union)
     assert nf == normal_form(multiply(h, b, a), h)
+
+
+# --- monomial objects -------------------------------------------------------------
+
+
+def test_normal_form_builds_one_monomial_per_output_term(monkeypatch):
+    # the rules run on exponent tuples; an XYMonomial is built only for the output
+    h = one_row(5, 3)
+    cases = [(e, h) for e in basis_B3(h).elements]
+    h6 = new_hessenberg([5, 6, 6, 6, 6, 6])
+    a = b3_element((0, 0, 1, 2, 2, 0), 2)
+    b = b3_element((0, 0, 1, 0, 2, 0), 3)
+    cases.append((multiply(h6, a, b), h6))
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return XYMonomial(*args)
+
+    monkeypatch.setattr(cohomology, "XYMonomial", counting)
+    for e, h in cases:
+        made.clear()
+        nf = normal_form(e, h)
+        assert len(made) == len(nf.terms), e.pretty()
