@@ -61,10 +61,10 @@ DEFAULT_MAX_N = 7
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise HesscombError(f"could not parse {what} {text!r} as comma-separated integers") from exc
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise HesscombError(f"could not parse {what} {text!r} as comma-separated integers")
+    return tuple(map(int, parts))
 
 
 def _emit(text: str) -> None:

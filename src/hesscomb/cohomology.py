@@ -12,7 +12,7 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from operator import add, neg, sub
 
 from .errors import (
@@ -566,20 +566,71 @@ def coordinates(e: XYElement, elements: list[XYElement]) -> list[int]:
     return _coordinates_in(e, _basis_index(elements), len(elements))
 
 
+# One context per h, shared by the reports below; contexts are small (bases and
+# one y_n normal form per y-sector x-part), and the bound keeps a long-lived
+# process from holding one for every h it has seen.
+_RING_CACHE_SIZE = 8
+
+
+class _OneRowRing:
+    """The bases B1, B2 and B3 of one one-row h, grouped by degree, the index of
+    B1 and B2, and the normal forms of x^e y_n for the y-sector x-parts e.
+
+    B1 and B2 monomials are normal, and so is every monomial of a B3 element
+    but x^e y_n.  Its normal form is built on first use from the one a degree
+    lower: NF(x^e y_n) = NF(x_v NF(x^(e - eps_v) y_n)), v the highest variable
+    in e.  That is exact because NF is linear and sends the ideal to 0; the
+    x-parts are closed under lowering an exponent, so the chain stays inside
+    them."""
+
+    def __init__(self, h: HessenbergFunction):
+        self.h = h
+        self.n = h.n
+        b1, b2, b3 = basis_B1(h), basis_B2(h), basis_B3(h)
+        self.b1 = b1.elements
+        self.d1, self.d2, self.d3 = _by_degree(b1), _by_degree(b2), _by_degree(b3)
+        self.index = _basis_index(b1.elements + b2.elements)
+        self._yn: dict[tuple[int, ...], XYElement] = {}
+
+    def yn_form(self, exps: tuple[int, ...]) -> XYElement:
+        """The normal form of x^exps y_n."""
+        form = self._yn.get(exps)
+        if form is None:
+            v = max((i for i, e in enumerate(exps) if e), default=None)
+            if v is None:
+                form = normal_form(XYElement.monomial(XYMonomial(exps, self.n)), self.h)
+            else:
+                below = self.yn_form(exps[:v] + (exps[v] - 1,) + exps[v + 1:])
+                form = normal_form(XYElement(self.n, {
+                    XYMonomial(m.xexp[:v] + (m.xexp[v] + 1,) + m.xexp[v + 1:], m.y): c
+                    for m, c in below.terms.items()
+                }), self.h)
+            self._yn[exps] = form
+        return form
+
+    def reduced(self, e: XYElement) -> XYElement:
+        """The normal form of a combination of B1, B2 and B3 monomials: each
+        x^e y_n term replaced by its normal form, the rest kept."""
+        out = e
+        for m, c in e.terms.items():
+            if m.y == self.n:
+                out = out + (self.yn_form(m.xexp) - XYElement.monomial(m)).scale(c)
+        return out
+
+
+_one_row_ring = lru_cache(maxsize=_RING_CACHE_SIZE)(_OneRowRing)
+
+
 def transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
     """Per degree, the matrix of B1 and B3 elements over B1 and B2 coordinates."""
-    b1, b2, b3 = basis_B1(h), basis_B2(h), basis_B3(h)
-    d1, d2, d3 = _by_degree(b1), _by_degree(b2), _by_degree(b3)
+    ring = _one_row_ring(h)
     blocks = []
-    for d in sorted(set(d1) | set(d3)):
-        rows = d1.get(d, []) + d2.get(d, [])
-        cols = d1.get(d, []) + d3.get(d, [])
+    for d in sorted(set(ring.d1) | set(ring.d3)):
+        rows = ring.d1.get(d, []) + ring.d2.get(d, [])
+        cols = ring.d1.get(d, []) + ring.d3.get(d, [])
         index = _basis_index(rows)
-        columns = [_coordinates_in(normal_form(e, h), index, len(rows)) for e in cols]
-        matrix = tuple(
-            tuple(columns[j][i] for j in range(len(cols))) for i in range(len(rows))
-        )
-        blocks.append(TransitionBlock(2 * d, matrix, tuple(rows), tuple(cols)))
+        columns = [_coordinates_in(ring.reduced(e), index, len(rows)) for e in cols]
+        blocks.append(TransitionBlock(2 * d, tuple(zip(*columns)), tuple(rows), tuple(cols)))
     return blocks
 
 
@@ -605,14 +656,12 @@ def check_unimodular(b: TransitionBlock) -> bool:
 
 def decomposition_counts(h: HessenbergFunction) -> DecompositionCounts:
     """Per-degree multiplicities: trivial from B1, standard from B3 x-part groups."""
+    ring = _one_row_ring(h)
     n = h.n
-    counts1 = _by_degree(basis_B1(h))
-    counts3 = _by_degree(basis_B3(h))
-    degrees = sorted(set(counts1) | set(counts3))
     by_degree = {}
-    for d in degrees:
-        m1 = len(counts1.get(d, []))
-        m2 = len(counts3.get(d, [])) // (n - 1) if n > 1 else 0
+    for d in sorted(set(ring.d1) | set(ring.d3)):
+        m1 = len(ring.d1.get(d, []))
+        m2 = len(ring.d3.get(d, [])) // (n - 1) if n > 1 else 0
         by_degree[d] = (m1, m2)
     return DecompositionCounts(n, by_degree)
 
@@ -626,24 +675,23 @@ class OrbitPartition:
 def permutation_orbits(h: HessenbergFunction) -> OrbitPartition:
     """Orbit sets {x-part * y_k : k = 1..n} plus a greedily chosen fixed set of
     pure-x monomials making the union linearly independent."""
-    h1 = _one_row_h1(h)
     n = h.n
-    if h1 == n:
+    if _one_row_h1(h) == n:
         raise DegenerateForm("no y-sector orbits when h(1) = n")
-    b1, b2 = basis_B1(h), basis_B2(h)
-    index = _basis_index(list(b1.elements) + list(b2.elements))
+    ring = _one_row_ring(h)
+    index = ring.index
     ech = IntEchelon()
     orbits = []
     for exps in _y_sector_xparts(h):
         orbit = [XYElement.monomial(XYMonomial(exps, k)) for k in range(1, n + 1)]
         for e in orbit:
-            terms = normal_form(e, h).terms
+            terms = ring.reduced(e).terms
             if not terms.keys() <= index.keys():
                 raise NotInBasis(f"normal form of {e.pretty()} leaves the basis list")
             ech.insert({index[m]: c for m, c in terms.items()})
         orbits.append(tuple(orbit))
     fixed = []
-    for e in b1.elements:
+    for e in ring.b1:
         (mono,) = e.terms.keys()
         if ech.insert({index[mono]: 1}):
             fixed.append(e)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from math import prod
 from operator import add
 
@@ -381,20 +381,16 @@ class _RankChain:
                 for row in self.span.pivots.values():
                     tideal.insert({c + shift[c // nverts]: v for c, v in row.items()})
 
-        # Both counts share the t-ideal plus the x^b rows; only the y rows
-        # differ (one per k for the quotient, summed over k for the fixed part).
-        fixed_span = tideal.clone()
-        rank = fixed = sum(fixed_span.insert(self._row(midx, self.ones, b))
+        # The fixed part is spanned by the t-ideal and the x^b rows alone: the
+        # sum of the y_k is prod (x_pin - x_l), a polynomial in the x classes.
+        # The quotient adds one y row per k on top of them.
+        span = tideal.clone()
+        rank = fixed = sum(span.insert(self._row(midx, self.ones, b))
                            for b in _compositions(d, n))
-        span = fixed_span.clone()
         if d >= self.ydeg:
-            parts = _compositions(d - self.ydeg, n)
-            for b in parts:
+            for b in _compositions(d - self.ydeg, n):
                 for supp in self.yterms:
                     rank += span.insert(self._row(midx, supp, b))
-            all_y = [pair for supp in self.yterms for pair in supp]
-            for b in parts:
-                fixed += fixed_span.insert(self._row(midx, all_y, b))
         self.span = span
         self.degrees.append(_Degree(midx, tideal, rank, fixed))
 
@@ -413,7 +409,10 @@ class _RankChain:
         return row
 
 
-_rank_chain = cache(_RankChain)  # one chain per h
+# One chain per h, for the few most recent h: a long-lived process asking
+# about many h keeps only these.
+_CHAIN_CACHE_SIZE = 4
+_rank_chain = lru_cache(maxsize=_CHAIN_CACHE_SIZE)(_RankChain)
 
 
 def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:

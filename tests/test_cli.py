@@ -296,6 +296,19 @@ def test_empty_list_arguments_are_validation_errors(capsys):
         assert "could not parse" in data["error"]["message"]
 
 
+def test_list_arguments_take_ascii_digits_only(capsys):
+    # int() alone would read Arabic-Indic digits as (2,3,3) and 1_2 as 12
+    for argv in (
+        ["poincare", "--h", "٢,٣,٣"],
+        ["tableaux", "--h", "2,3,3", "--shape", "1_2"],
+        ["poincare", "--h", "2, 3,3"],
+    ):
+        code, data = run_json(capsys, argv)
+        assert code == 2, argv
+        assert data["error"]["type"] == "HesscombError"
+        assert "could not parse" in data["error"]["message"]
+
+
 def test_command_line_errors_are_json(capsys):
     for argv in (
         ["poincare"],

@@ -153,13 +153,26 @@ def test_random_elements_match_lifo_oracle():
     ids=lambda v: "".join(map(str, v[:2])),
 )
 def test_blocks_and_orbits_match_lifo_oracle(values, monkeypatch):
+    # the reports keep the y_n normal forms in a context per h; clearing it
+    # makes the second round build them again under the LIFO oracle
     h = new_hessenberg(values)
     blocks = transition_blocks(h)
     orbits = orbit_data(permutation_orbits(h)) if h(1) < h.n else None
-    monkeypatch.setattr(cohomology, "normal_form", lifo_normal_form)
-    assert transition_blocks(h) == blocks
-    if orbits is not None:
-        assert orbit_data(permutation_orbits(h)) == orbits
+    lifo_calls = []
+
+    def counting_lifo(e, h):
+        lifo_calls.append(e)
+        return lifo_normal_form(e, h)
+
+    cohomology._one_row_ring.cache_clear()
+    monkeypatch.setattr(cohomology, "normal_form", counting_lifo)
+    try:
+        assert transition_blocks(h) == blocks
+        if orbits is not None:
+            assert orbit_data(permutation_orbits(h)) == orbits
+            assert lifo_calls
+    finally:
+        cohomology._one_row_ring.cache_clear()
 
 
 # --- products the LIFO loop could not finish ---------------------------------------
