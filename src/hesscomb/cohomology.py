@@ -279,16 +279,22 @@ def _divisible(exps: tuple[int, ...], positions) -> bool:
     return all(exps[p - 1] >= 1 for p in positions)
 
 
-def basis_B1(h: HessenbergFunction) -> BasisSet:
-    """Staircase monomials (exponent of x_j at most n-j) avoiding x_1...x_{h(1)}."""
+def _b1_exponents(h: HessenbergFunction) -> list[tuple[int, ...]]:
+    """The exponent tuples of B1: the staircase (exponent of x_j at most n-j)
+    minus the multiples of x_1...x_{h(1)}."""
     h1 = _one_row_h1(h)
     n = h.n
-    monos = [
-        XYMonomial(exps)
+    return [
+        exps
         for exps in _staircase_monomials([n - j for j in range(1, n + 1)])
         if not _divisible(exps, range(1, h1 + 1))
     ]
-    elems = [XYElement.monomial(m) for m in monos]
+
+
+def basis_B1(h: HessenbergFunction) -> BasisSet:
+    """Staircase monomials (exponent of x_j at most n-j) avoiding x_1...x_{h(1)}."""
+    h1 = _one_row_h1(h)
+    elems = [XYElement.monomial(XYMonomial(exps)) for exps in _b1_exponents(h)]
     elems.sort(key=lambda e: _element_key(e, h1 - 1))
     return BasisSet("B1", h, tuple(elems), y_form(h, "one-row"))
 

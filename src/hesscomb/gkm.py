@@ -15,7 +15,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from math import prod
 from operator import add
 
 from .errors import FormMismatch, KOutOfRange, OddDegree, OutOfRange, ShapeMismatch
@@ -231,11 +230,20 @@ def _class_y(h: HessenbergFunction, k: int, form: YForm) -> GkmClass:
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     tk, zero = IntPoly.var(n, k), IntPoly.zero(n)
-    return GkmClass(n, {
-        w: product(n, (tk - IntPoly.var(n, w[l - 1]) for l in form.factors))
-        if w[form.pin - 1] == k else zero
-        for w in all_permutations(n)
-    })
+    # The value depends only on the set of w(l), so the vertices with one set
+    # share one product.
+    products: dict[frozenset[int], IntPoly] = {}
+    values = {}
+    for w in all_permutations(n):
+        if w[form.pin - 1] != k:
+            values[w] = zero
+            continue
+        key = frozenset(w[l - 1] for l in form.factors)
+        p = products.get(key)
+        if p is None:
+            p = products[key] = product(n, (tk - IntPoly.var(n, a) for a in key))
+        values[w] = p
+    return GkmClass(n, values)
 
 
 def _generator_form(h: HessenbergFunction) -> YForm:
@@ -286,36 +294,75 @@ def dot_action(v: Perm, c: GkmClass) -> GkmClass:
 
 
 def verify_relations(h: HessenbergFunction) -> dict[str, bool]:
-    """Exact tuple checks of the four ideal relations, per applicable form."""
+    """Exact checks of the four ideal relations, per applicable form, one
+    vertex at a time: a relation between classes holds when it holds at every
+    vertex.  The y side is read from the y-classes; the other side is built
+    from the linear forms t_a - t_b that the t and x classes take at a vertex.
+
+    Two facts keep this cheap and exact.  A product of linear forms
+    t_a - t_b depends only on a and the set of b, so each is built once per
+    call.  Z[t] is an integral domain, so a product vanishes exactly when
+    some factor does, and t_a - t_b vanishes exactly when a = b."""
     forms = y_forms(h)
     if not forms:
         raise FormMismatch(f"h={h} matches neither special form")
     n = h.n
-    one = GkmClass.constant(n, 1)
-    xs = {k: class_x(n, k) for k in range(1, n + 1)}
-    ts = {k: class_t(n, k) for k in range(1, n + 1)}
+    ts = {k: IntPoly.var(n, k) for k in range(1, n + 1)}
+    differences: dict[tuple[int, frozenset[int]], IntPoly] = {}
+
+    def difference_product(a: int, bs: frozenset[int]) -> IntPoly:
+        """prod_{b in bs} (t_a - t_b)."""
+        p = differences.get((a, bs))
+        if p is None:
+            p = differences[(a, bs)] = product(n, (ts[a] - ts[b] for b in bs))
+        return p
+
     report: dict[str, bool] = {}
     for form in forms:
-        ys = {k: _class_y(h, k, form) for k in range(1, n + 1)}
+        ys = [_class_y(h, k, form).values for k in range(1, n + 1)]
         pin = form.pin
         full = [l for l in range(1, n + 1) if l != pin]
         outside = [l for l in full if l not in form.factors]
-        report[f"{form.name}:y-products-vanish"] = all(
-            (ys[k] * ys[kk]).is_zero()
-            for k in range(1, n + 1)
-            for kk in range(k + 1, n + 1)
-        )
-        report[f"{form.name}:pin-variable"] = all(
-            ((xs[pin] - ts[k]) * ys[k]).is_zero() for k in range(1, n + 1)
-        )
-        report[f"{form.name}:complementary-factors"] = all(
-            ys[k] * prod((ts[k] - xs[l] for l in outside), start=one)
-            == prod((ts[k] - xs[l] for l in full), start=one)
-            for k in range(1, n + 1)
-        )
-        report[f"{form.name}:sum-identity"] = sum(
-            ys.values(), GkmClass.zero(n)
-        ) == prod((xs[pin] - xs[l] for l in form.factors), start=one)
+        vanish = pin_variable = complementary = sum_identity = True
+        # (k, set of w(l) for l outside) -> (y_k(w), whether the relation holds)
+        matched: dict[tuple[int, frozenset[int]], tuple[IntPoly, bool]] = {}
+        for w in all_permutations(n):
+            a = w[pin - 1]
+            w_full = frozenset(w[l - 1] for l in full)
+            w_outside = frozenset(w[l - 1] for l in outside)
+            at_w = {k: yk[w] for k, yk in enumerate(ys, start=1)}
+            support = [k for k, y in at_w.items() if y]
+            # y_k y_k' at w: one of the two values is 0.
+            vanish = vanish and len(support) <= 1
+            # (x_pin - t_k) y_k at w: x_pin(w) - t_k = t_a - t_k is 0, or y_k(w) is.
+            pin_variable = pin_variable and all(k == a for k in support)
+            # y_k prod_{outside} (t_k - x_l) = prod_{full} (t_k - x_l) at w.  The
+            # right side is 0 when k is some w(l), l in full; the left side when
+            # y_k(w) is 0 or k is some w(l), l outside.
+            for k, y in at_w.items():
+                if not complementary:
+                    break
+                rhs_zero = k in w_full
+                lhs_zero = not y or k in w_outside
+                if rhs_zero or lhs_zero:
+                    complementary = rhs_zero and lhs_zero
+                    continue
+                seen = matched.get((k, w_outside))
+                if seen is None or seen[0] != y:
+                    seen = matched[(k, w_outside)] = (y, (
+                        y * difference_product(k, w_outside)
+                        == difference_product(k, w_full)
+                    ))
+                complementary = seen[1]
+            # sum_k y_k = prod_{factors} (x_pin - x_l) at w.
+            if sum_identity:
+                lhs = (at_w[support[0]] if len(support) == 1
+                       else sum((at_w[k] for k in support), IntPoly.zero(n)))
+                sum_identity = lhs == difference_product(a, w_full - w_outside)
+        report[f"{form.name}:y-products-vanish"] = vanish
+        report[f"{form.name}:pin-variable"] = pin_variable
+        report[f"{form.name}:complementary-factors"] = complementary
+        report[f"{form.name}:sum-identity"] = sum_identity
     return report
 
 
@@ -418,9 +465,9 @@ _rank_chain = lru_cache(maxsize=_CHAIN_CACHE_SIZE)(_RankChain)
 def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:
     """Whether a homogeneous class lies in (t_1, ..., t_n) times the subring
     generated by the x and y classes.  Requires a special-form h."""
-    chain = _rank_chain(h)
     if c.n != h.n:
         raise ShapeMismatch(f"class on {c.n} variables, but h = {h} has n = {h.n}")
+    chain = _rank_chain(h)
     degrees = {sum(exps) for p in c.values.values() for exps in p.terms}
     if not degrees:
         return True

@@ -4,16 +4,18 @@ For one-row h the closed form is h(1)_q (n-1)_q! + (n-1) q^(h(1)-1)
 (n-h(1))_q (n-2)_q!.  The tableau route reads the Schur coefficients of the
 chromatic quasisymmetric function from P-tableaux (csf_schur_by_ptableaux) and
 weights each by its standard-tableau count; it works for every h.  The basis
-route adds the degree generating functions of B1 and B3; the GKM route
-computes graded ranks of the quotient model (small n only).
+route adds the degree generating functions of B1 and B3, counted from their
+exponent tuples; the GKM route computes graded ranks of the quotient model
+(small n only).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
-from .cohomology import basis_B1, basis_B3, degree_gf
+from .cohomology import _b1_exponents, _y_sector_xparts
 from .errors import FormMismatch, OutOfRange
 from .gkm import betti_numbers
 from .hessenberg import HessenbergFunction, _one_row_h1
@@ -73,8 +75,14 @@ def via_ptableaux(h: HessenbergFunction) -> QPolynomial:
 
 
 def via_basis_degrees(h: HessenbergFunction) -> QPolynomial:
-    """degree_gf(B1) + degree_gf(B3)."""
-    return degree_gf(basis_B1(h)) + degree_gf(basis_B3(h))
+    """degree_gf(B1) + degree_gf(B3), counted from exponent tuples: x^e in B1
+    has degree |e|, and each y-sector x-part e carries the n - 1 elements
+    x^e (y_{k+1} - y_1) of B3, of degree |e| + h(1) - 1."""
+    h1, n = _one_row_h1(h), h.n
+    census = Counter(sum(e) for e in _b1_exponents(h))
+    for e in _y_sector_xparts(h):
+        census[sum(e) + h1 - 1] += n - 1
+    return QPolynomial(census)
 
 
 def via_gkm(h: HessenbergFunction) -> QPolynomial:

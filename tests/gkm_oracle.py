@@ -1,5 +1,7 @@
-"""The GKM rank tables built one q-degree at a time from every t-monomial:
-the exact oracle for the degree chain in ``hesscomb.gkm``.
+"""Oracles for ``hesscomb.gkm``: the GKM rank tables built one q-degree at a
+time from every t-monomial, the exact oracle for the degree chain, and the
+four ideal relations checked in the class algebra, the oracle for the
+vertex-by-vertex ``verify_relations``.
 
 In q-degree d the t-ideal is spanned directly by the rows t^a x^b and
 t^a x^b y_k for every t-monomial a of positive degree, so it shares nothing
@@ -9,8 +11,18 @@ t_1...t_n, so x-exponent vectors with no zero entry are left out.
 """
 
 import itertools
+from math import prod
 
-from hesscomb.gkm import _class_y, _generator_form, all_permutations
+from hesscomb import gkm
+from hesscomb.gkm import (
+    GkmClass,
+    _class_y,
+    _generator_form,
+    all_permutations,
+    class_t,
+    class_x,
+)
+from hesscomb.hessenberg import y_forms
 from hesscomb.linalg import IntEchelon
 
 
@@ -93,3 +105,39 @@ class DegreeOracle:
                 col = self.midx[exps] * len(self.perms) + self.vidx[w]
                 entries[col] = entries.get(col, 0) + coeff
         return self.tideal.contains(entries)
+
+
+def verify_relations(h):
+    """The four ideal relations, per applicable form, as identities between
+    whole classes built with class arithmetic.  The y-classes are read through
+    the module attribute ``gkm._class_y``, so a test that replaces it changes
+    them here as well."""
+    forms = y_forms(h)
+    assert forms, h
+    n = h.n
+    one = GkmClass.constant(n, 1)
+    xs = {k: class_x(n, k) for k in range(1, n + 1)}
+    ts = {k: class_t(n, k) for k in range(1, n + 1)}
+    report = {}
+    for form in forms:
+        ys = {k: gkm._class_y(h, k, form) for k in range(1, n + 1)}
+        pin = form.pin
+        full = [l for l in range(1, n + 1) if l != pin]
+        outside = [l for l in full if l not in form.factors]
+        report[f"{form.name}:y-products-vanish"] = all(
+            (ys[k] * ys[kk]).is_zero()
+            for k in range(1, n + 1)
+            for kk in range(k + 1, n + 1)
+        )
+        report[f"{form.name}:pin-variable"] = all(
+            ((xs[pin] - ts[k]) * ys[k]).is_zero() for k in range(1, n + 1)
+        )
+        report[f"{form.name}:complementary-factors"] = all(
+            ys[k] * prod((ts[k] - xs[l] for l in outside), start=one)
+            == prod((ts[k] - xs[l] for l in full), start=one)
+            for k in range(1, n + 1)
+        )
+        report[f"{form.name}:sum-identity"] = sum(
+            ys.values(), GkmClass.zero(n)
+        ) == prod((xs[pin] - xs[l] for l in form.factors), start=one)
+    return report

@@ -32,6 +32,7 @@ from hesscomb import (
     new_hessenberg,
     normal_form,
 )
+from hesscomb import gkm
 from hesscomb.qpoly import QPolynomial, q_int
 
 H233 = new_hessenberg([2, 3, 3])
@@ -64,8 +65,13 @@ def test_element_to_gkm_rejects_wrong_n():
 
 
 def test_in_t_ideal_rejects_wrong_n():
+    # The size is checked before a rank chain is built, so a rejected class
+    # neither builds one nor evicts a live one from the bounded cache.
+    gkm._rank_chain.cache_clear()
     with pytest.raises(ShapeMismatch):
         in_t_ideal(class_x(4, 1), H233)
+    info = gkm._rank_chain.cache_info()
+    assert (info.currsize, info.misses) == (0, 0)
 
 
 # --- plain ValueErrors and KeyErrors mapped onto the taxonomy -----------------

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import random
 
 import pytest
 from gkm_oracle import DegreeOracle
+from gkm_oracle import verify_relations as class_algebra_relations
 
 from hesscomb import (
     FormMismatch,
@@ -36,7 +38,10 @@ from hesscomb import (
     verify_relations,
     via_ptableaux,
 )
+from hesscomb import gkm
 from hesscomb.gkm import compose, inverse_perm
+from hesscomb.hessenberg import y_forms
+from hesscomb.intpoly import product
 
 
 def one_row(n, h1):
@@ -228,6 +233,62 @@ def test_verify_relations_all_special_forms_small():
 def test_verify_relations_form_mismatch():
     with pytest.raises(FormMismatch):
         verify_relations(new_hessenberg([2, 3, 4, 4]))
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.long)]
+)
+def test_verify_relations_matches_class_algebra(n):
+    for h in special_forms(n):
+        if h.n == n:
+            report = verify_relations(h)
+            assert list(report.items()) == list(class_algebra_relations(h).items())
+
+
+def _factor_dropped(real):
+    def wrong(h, k, form):
+        return real(h, k, dataclasses.replace(form, factors=form.factors[1:]))
+    return wrong
+
+
+def _support_moved(real):
+    """prod_{l in factors} (t_k - t_{w(l)}) on w(pin) = k + 1 (n + 1 read as 1)."""
+    def wrong(h, k, form):
+        n = h.n
+        return GkmClass(n, {
+            w: product(n, (IntPoly.var(n, k) - IntPoly.var(n, w[l - 1])
+                           for l in form.factors))
+            if w[form.pin - 1] == k % n + 1 else IntPoly.zero(n)
+            for w in all_permutations(n)
+        })
+    return wrong
+
+
+def _support_widened(real):
+    """y_k kept, and also put on w(pin) = k + 1 (n + 1 read as 1), where its
+    value is y_k at w with the values k and k + 1 swapped."""
+    def wrong(h, k, form):
+        n, kk = h.n, k % h.n + 1
+        right = real(h, k, form)
+        return GkmClass(n, {
+            w: right[tuple(kk if v == k else k if v == kk else v for v in w)]
+            if w[form.pin - 1] == kk else right[w]
+            for w in all_permutations(n)
+        })
+    return wrong
+
+
+@pytest.mark.parametrize("breakage", [_factor_dropped, _support_moved, _support_widened])
+def test_verify_relations_reports_a_wrong_class(monkeypatch, breakage):
+    # Both routes read the y-classes through gkm._class_y, so a wrong class
+    # there must make both report False, on the same keys.
+    monkeypatch.setattr(gkm, "_class_y", breakage(gkm._class_y))
+    for h in special_forms(4):
+        if h.n < 2 or not all(form.factors for form in y_forms(h)):
+            continue
+        report = verify_relations(h)
+        assert list(report.items()) == list(class_algebra_relations(h).items())
+        assert not all(report.values()), h.values
 
 
 def test_graded_quotient_rank_examples():

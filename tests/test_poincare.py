@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hesscomb.cohomology import basis_B1, basis_B3, degree_gf
 from hesscomb.errors import FormMismatch, OutOfRange
 from hesscomb.hessenberg import all_hessenberg_functions, new_hessenberg, transpose
 from hesscomb.poincare import (
@@ -54,6 +55,15 @@ def test_three_routes_agree_one_row():
             closed = closed_form(h)
             assert via_ptableaux(h) == closed
             assert via_basis_degrees(h) == closed
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.long)]
+)
+def test_basis_census_matches_the_built_bases(n):
+    for h1 in range(1, n + 1):
+        h = one_row(n, h1)
+        assert via_basis_degrees(h) == degree_gf(basis_B1(h)) + degree_gf(basis_B3(h))
 
 
 def test_gkm_route_small_n():

@@ -305,13 +305,23 @@ def test_frobenius_from_decomposition_basics():
     assert frobenius_from_decomposition(c2) == schur(4, {(3, 1): {1: 1}})
 
 
-def test_frobenius_matches_omega_csf():
-    for n, h1 in ((3, 1), (3, 2), (3, 3), (4, 2)):
+def _check_frobenius_matches_omega_csf(n):
+    for h1 in range(1, n + 1):
         h = one_row(n, h1)
         counts = decomposition_counts(h)
         assert frobenius_from_decomposition(counts) == omega(
             csf_schur_by_ptableaux(h)
-        )
+        ), h.values
+
+
+def test_frobenius_matches_omega_csf():
+    for n in range(2, 7):
+        _check_frobenius_matches_omega_csf(n)
+
+
+@pytest.mark.long
+def test_frobenius_matches_omega_csf_n7():
+    _check_frobenius_matches_omega_csf(7)
 
 
 def schur_by_recounted_ptableaux(h) -> SymFn:
