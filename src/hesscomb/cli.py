@@ -102,11 +102,11 @@ def _cmd_csf(args) -> tuple[str, int]:
     h = args.h
     f = csf_by_coloring(inc_graph(h))
     schur = change_basis(f, "schur")
-    at_one = change_basis(f.at_q(1), "elementary")
-    omega_h = change_basis(omega(schur), "homogeneous")
     if args.fmt == "latex":
         return schur.pretty(), EXIT_OK
     _require_format(args.fmt, ("json", "latex"))
+    at_one = change_basis(f.at_q(1), "elementary")
+    omega_h = change_basis(omega(schur), "homogeneous")
     data = {
         "h": list(h.values),
         "monomial": _terms_data(f),
@@ -131,8 +131,6 @@ def _cmd_poincare(args) -> tuple[str, int]:
 def _cmd_tableaux(args) -> tuple[str, int]:
     _require_format(args.fmt, ("json",))
     h = args.h
-    if args.shape is None:
-        raise HesscombError("tableaux requires --shape")
     if args.shape.size != h.n:
         raise HesscombError(f"shape {args.shape} has size {args.shape.size}, expected {h.n}")
     tabs = p_tableaux_with_inversions(h, args.shape)
@@ -259,31 +257,13 @@ def _bijection_forward(args) -> tuple[str, int]:
         if args.k is None:
             raise HesscombError("map b3 needs --k for the y index")
         e = XYElement(h.n, {XYMonomial(exps, args.k): 1, XYMonomial(exps, 1): -1})
-        if args.trace:
-            return _json(trace_phi_b3(h, e)), EXIT_OK
-        pair = phi_b3(h, e)
-        data = {
-            "map": "b3",
-            "h": list(h.values),
-            "input": _element_data(e),
-            "output": json.loads(pair.to_json()),
-        }
-        return _json(data), EXIT_OK
-    m = XYMonomial(exps)
-    if args.map == "nilpotent":
-        if args.trace:
-            return _json(trace_phi_nilpotent(h, m)), EXIT_OK
-        t = phi_nilpotent(h, m)
+        data = trace_phi_b3(h, e)
+    elif args.map == "b1":
+        data = trace_phi_b1(h, XYMonomial(exps))
     else:
-        if args.trace:
-            return _json(trace_phi_b1(h, m)), EXIT_OK
-        t = phi_b1(h, m)
-    data = {
-        "map": args.map,
-        "h": list(h.values),
-        "input": {"x": list(m.xexp)},
-        "output": json.loads(t.to_json()),
-    }
+        data = trace_phi_nilpotent(h, XYMonomial(exps))
+    if not args.trace:
+        data = {key: data[key] for key in ("map", "h", "input", "output")}
     return _json(data), EXIT_OK
 
 
@@ -357,16 +337,25 @@ def _cmd_verify_goldens(args) -> tuple[str, int]:
     return _json(data), EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
-def _add_common(p: argparse.ArgumentParser, *, needs_h: bool, max_n: int = DEFAULT_MAX_N) -> None:
-    p.add_argument("--h", dest="h_values", required=needs_h, help="Hessenberg function as a comma list, e.g. 2,3,3")
-    p.add_argument("--shape", help="partition as a comma list, e.g. 2,1,1,1")
+def _add_command(sub, name: str, run, *, needs_h: bool = True, max_n: int = DEFAULT_MAX_N, **kwargs):
+    """A subcommand that runs `run` on the parsed arguments.  Every subcommand
+    takes --format; one that reads an h takes --h and its --max-n guardrail."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(run=run)
     p.add_argument("--format", dest="fmt", default="json", choices=("json", "csv", "latex", "dot"))
-    p.add_argument("--max-n", dest="max_n", type=int, default=max_n)
+    if needs_h:
+        p.add_argument("--h", dest="h_values", required=True, help="Hessenberg function as a comma list, e.g. 2,3,3")
+        p.add_argument("--max-n", dest="max_n", type=int, default=max_n)
+    return p
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a HesscombError, so it reaches the JSON
-    error path instead of printing usage to stderr; subparsers inherit it."""
+    error path instead of printing usage to stderr, and takes option names only
+    in full, so that --h never reads as --help; subparsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise HesscombError(f"{self.prog}: {message}")
@@ -384,27 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     # csf sums colorings by a subset DP (3^n steps), so it runs up to the
     # basis changes' DEGREE_BOUND rather than the n! walks' DEFAULT_MAX_N.
-    _add_common(
-        sub.add_parser("csf", help="chromatic quasisymmetric function report"),
-        needs_h=True,
-        max_n=DEGREE_BOUND,
-    )
-    _add_common(sub.add_parser("poincare", help="Poincare polynomial reconciliation"), needs_h=True)
-    _add_common(sub.add_parser("tableaux", help="enumerate P-tableaux with inversions"), needs_h=True)
+    _add_command(sub, "csf", _cmd_csf, max_n=DEGREE_BOUND, help="chromatic quasisymmetric function report")
+    _add_command(sub, "poincare", _cmd_poincare, help="Poincare polynomial reconciliation")
+    tab = _add_command(sub, "tableaux", _cmd_tableaux, help="enumerate P-tableaux with inversions")
+    tab.add_argument("--shape", required=True, help="partition as a comma list, e.g. 2,1,1,1")
 
-    gkm = sub.add_parser("gkm", help="GKM graph, classes, relations")
-    _add_common(gkm, needs_h=True)
+    gkm = _add_command(sub, "gkm", _cmd_gkm, help="GKM graph, classes, relations")
     gkm.add_argument("--dump-class", help="class name such as x2, y2, t1")
     gkm.add_argument("--variant", choices=("auto", "one-row", "transpose"), default="auto")
     gkm.add_argument("--relations", action="store_true", help="verify the product relations")
 
-    basis = sub.add_parser("basis", help="monomial bases and transition blocks")
-    _add_common(basis, needs_h=True)
+    basis = _add_command(sub, "basis", _cmd_basis, help="monomial bases and transition blocks")
     basis.add_argument("--which", choices=("B1", "B2", "B3", "Nh", "transpose"), default="B1")
     basis.add_argument("--blocks", action="store_true", help="emit per-degree transition blocks")
 
-    bij = sub.add_parser("bijection", help="apply, trace, or round-trip the tableau maps")
-    _add_common(bij, needs_h=True)
+    bij = _add_command(sub, "bijection", _cmd_bijection, help="apply, trace, or round-trip the tableau maps")
     bij.add_argument("--map", choices=("nilpotent", "b1", "b3"), required=True)
     bij.add_argument("--monomial", help="x-exponents as a comma list")
     bij.add_argument("--k", type=int, help="y index for map b3")
@@ -412,24 +395,25 @@ def build_parser() -> argparse.ArgumentParser:
     bij.add_argument("--trace", action="store_true", help="emit every insertion step")
     bij.add_argument("--round-trip", dest="round_trip", action="store_true")
 
-    verify = sub.add_parser(
+    _add_command(
+        sub,
         "verify-goldens",
+        _cmd_verify_goldens,
+        needs_h=False,
         aliases=["verify-paper"],
         help="recompute all embedded reference examples and diff",
     )
-    _add_common(verify, needs_h=False)
     return parser
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """The parsed namespace with h (from --h, guarded by --max-n) and shape
-    resolved to their objects, None when not given."""
+    resolved to their objects, for the subcommands that take them."""
     args = build_parser().parse_args(argv)
-    args.h = None
-    if args.h_values is not None:
+    if "h_values" in args:
         args.h = new_hessenberg(_parse_int_list(args.h_values, "--h"))
         _guard(args.h, args.max_n)
-    if args.shape is not None:
+    if "shape" in args:
         args.shape = Partition(_parse_int_list(args.shape, "--shape"))
     return args
 
@@ -437,20 +421,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
-        if args.command == "csf":
-            out, code = _cmd_csf(args)
-        elif args.command == "poincare":
-            out, code = _cmd_poincare(args)
-        elif args.command == "tableaux":
-            out, code = _cmd_tableaux(args)
-        elif args.command == "gkm":
-            out, code = _cmd_gkm(args)
-        elif args.command == "basis":
-            out, code = _cmd_basis(args)
-        elif args.command == "bijection":
-            out, code = _cmd_bijection(args)
-        else:
-            out, code = _cmd_verify_goldens(args)
+        out, code = args.run(args)
     except HesscombError as exc:
         _emit(_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return EXIT_VALIDATION

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import add, neg, sub
@@ -210,27 +211,25 @@ def _check_n(n: int, h: HessenbergFunction) -> None:
 
 def multiply(h: HessenbergFunction, a: XYElement, b: XYElement) -> XYElement:
     """Full product in the quotient ring, reducing y*y pairs as it goes."""
-    h1 = _one_row_h1(h)
     n = h.n
+    # y_k^2 = y_k * prod_{l=2}^{h(1)} (-x_l), the last term of _difference_product
+    square, sign = _difference_product(_one_row_h1(h), n)[-1]
     _check_n(a.n, h)
     _check_n(b.n, h)
     acc: dict[XYMonomial, int] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            exps = list(x + y for x, y in zip(m1.xexp, m2.xexp))
+            exps = tuple(map(add, m1.xexp, m2.xexp))
             c = c1 * c2
             if m1.y is not None and m2.y is not None:
                 if m1.y != m2.y:
                     continue
-                # y_k^2 = y_k * prod_{l=2}^{h(1)} (-x_l)
-                for l in range(2, h1 + 1):
-                    exps[l - 1] += 1
-                if h1 % 2 == 0:
-                    c = -c
+                exps = tuple(map(add, exps, square))
+                c *= sign
                 y = m1.y
             else:
                 y = m1.y if m1.y is not None else m2.y
-            m = XYMonomial(tuple(exps), y)
+            m = XYMonomial(exps, y)
             acc[m] = acc.get(m, 0) + c
     return XYElement(n, acc)
 
@@ -661,15 +660,15 @@ def check_unimodular(b: TransitionBlock) -> bool:
 
 
 def decomposition_counts(h: HessenbergFunction) -> DecompositionCounts:
-    """Per-degree multiplicities: trivial from B1, standard from B3 x-part groups."""
-    ring = _one_row_ring(h)
-    n = h.n
-    by_degree = {}
-    for d in sorted(set(ring.d1) | set(ring.d3)):
-        m1 = len(ring.d1.get(d, []))
-        m2 = len(ring.d3.get(d, [])) // (n - 1) if n > 1 else 0
-        by_degree[d] = (m1, m2)
-    return DecompositionCounts(n, by_degree)
+    """Per-degree multiplicities, counted from exponent tuples: trivial from
+    the B1 monomials x^e (degree |e|), standard from the y-sector x-parts e,
+    each of which carries the n - 1 elements x^e (y_{k+1} - y_1) of B3, of
+    degree |e| + h(1) - 1."""
+    h1 = _one_row_h1(h)
+    trivial = Counter(sum(e) for e in _b1_exponents(h))
+    standard = Counter(sum(e) + h1 - 1 for e in _y_sector_xparts(h))
+    degrees = sorted(trivial.keys() | standard.keys())
+    return DecompositionCounts(h.n, {d: (trivial[d], standard[d]) for d in degrees})
 
 
 @dataclass(frozen=True)

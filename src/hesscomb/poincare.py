@@ -5,17 +5,16 @@ For one-row h the closed form is h(1)_q (n-1)_q! + (n-1) q^(h(1)-1)
 chromatic quasisymmetric function from P-tableaux (csf_schur_by_ptableaux) and
 weights each by its standard-tableau count; it works for every h.  The basis
 route adds the degree generating functions of B1 and B3, counted from their
-exponent tuples; the GKM route computes graded ranks of the quotient model
-(small n only).
+exponent tuples by decomposition_counts; the GKM route computes graded ranks
+of the quotient model (small n only).
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
-from .cohomology import _b1_exponents, _y_sector_xparts
+from .cohomology import decomposition_counts
 from .errors import FormMismatch, OutOfRange
 from .gkm import betti_numbers
 from .hessenberg import HessenbergFunction, _one_row_h1
@@ -75,14 +74,12 @@ def via_ptableaux(h: HessenbergFunction) -> QPolynomial:
 
 
 def via_basis_degrees(h: HessenbergFunction) -> QPolynomial:
-    """degree_gf(B1) + degree_gf(B3), counted from exponent tuples: x^e in B1
-    has degree |e|, and each y-sector x-part e carries the n - 1 elements
-    x^e (y_{k+1} - y_1) of B3, of degree |e| + h(1) - 1."""
-    h1, n = _one_row_h1(h), h.n
-    census = Counter(sum(e) for e in _b1_exponents(h))
-    for e in _y_sector_xparts(h):
-        census[sum(e) + h1 - 1] += n - 1
-    return QPolynomial(census)
+    """degree_gf(B1) + degree_gf(B3) from the census of decomposition_counts:
+    m1 + (n - 1) m2 elements in each degree."""
+    counts = decomposition_counts(h)
+    return QPolynomial(
+        {d: m1 + (h.n - 1) * m2 for d, (m1, m2) in counts.by_degree.items()}
+    )
 
 
 def via_gkm(h: HessenbergFunction) -> QPolynomial:

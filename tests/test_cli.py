@@ -317,6 +317,24 @@ def test_command_line_errors_are_json(capsys):
         [],
         ["poincare", "--h", "2,3,3", "--seed", "1"],
         ["poincare", "--h", "2,3,3", "--long-tests"],
+        # option names are taken only in full: no prefix of --help, --format,
+        # --relations or --round-trip, at the top level or after a subcommand
+        ["poincare", "--h", "2,3,3", "--he"],
+        ["verify-goldens", "--he"],
+        ["--h", "2,3,3"],
+        ["poincare", "--h", "2,3,3", "--form", "latex"],
+        ["gkm", "--h", "2,3,3", "--rel"],
+        ["bijection", "--h", "2,3,3", "--map", "b1", "--round"],
+        # each subcommand takes only the options it reads
+        ["csf", "--h", "2,3,3", "--shape", "2,1"],
+        ["poincare", "--h", "2,3,3", "--shape", "9,9"],
+        ["gkm", "--h", "2,3,3", "--shape", "2,1"],
+        ["basis", "--h", "2,3,3", "--shape", "2,1"],
+        ["bijection", "--h", "2,3,3", "--map", "b1", "--round-trip", "--shape", "2,1"],
+        ["verify-goldens", "--shape", "2,1"],
+        ["verify-goldens", "--h", "2,1"],
+        ["verify-goldens", "--h", "1"],
+        ["verify-paper", "--max-n", "3"],
     ):
         code = cli.main(argv)
         captured = capsys.readouterr()
@@ -458,8 +476,9 @@ OPTION_VALUES = {
     "--tableau": ("[[3],[2],[1]]", "[[1,2],[3]]", "[[", "[]", "[[0]]"),
 }
 FLAGS = tuple(OPTION_VALUES) + ("--relations", "--blocks", "--trace", "--round-trip", "--nope")
-COMMON_FLAGS = ("--h", "--shape", "--format", "--max-n")
+COMMON_FLAGS = ("--h", "--format", "--max-n")
 OWN_FLAGS = {
+    "tableaux": ("--shape",),
     "gkm": ("--dump-class", "--variant", "--relations"),
     "basis": ("--which", "--blocks"),
     "bijection": ("--map", "--monomial", "--k", "--tableau", "--trace", "--round-trip"),
@@ -471,7 +490,8 @@ SUBCOMMANDS = ("csf", "poincare", "tableaux", "gkm", "basis", "bijection",
 @st.composite
 def argvs(draw):
     """A subcommand, usually a valid --h, then flags that mostly belong to the
-    subcommand, each usually with a value, and sometimes one stray token."""
+    subcommand, sometimes abbreviated, each usually with a value, and sometimes
+    one stray token."""
     sub = draw(st.sampled_from(SUBCOMMANDS))
     argv = [sub]
     if draw(st.sampled_from((True, True, True, False))):
@@ -479,7 +499,10 @@ def argvs(draw):
     for _ in range(draw(st.integers(0, 4))):
         own = COMMON_FLAGS + OWN_FLAGS.get(sub, ())
         flag = draw(st.sampled_from(own if draw(st.sampled_from((True,) * 3 + (False,))) else FLAGS))
-        argv.append(flag)
+        if draw(st.sampled_from((True,) * 5 + (False,))):
+            argv.append(flag)
+        else:
+            argv.append(flag[:draw(st.integers(3, len(flag) - 1))] if len(flag) > 3 else "--he")
         if flag in OPTION_VALUES and draw(st.sampled_from((True,) * 7 + (False,))):
             argv.append(draw(st.sampled_from(OPTION_VALUES[flag])))
     if not draw(st.sampled_from((True,) * 7 + (False,))):

@@ -1,9 +1,12 @@
-"""The shared quotient-ring context behind transition_blocks, permutation_orbits
-and decomposition_counts, against the per-column oracle in blocks_oracle.py.
+"""The shared quotient-ring context behind transition_blocks and
+permutation_orbits, and the exponent-tuple census of decomposition_counts,
+against the per-column oracle in blocks_oracle.py.
 
 The context builds the bases of h once, reads B1 and B2 monomials as their own
 normal forms, and chains the normal forms of x^e y_n one variable at a time.
 """
+
+import itertools
 
 import pytest
 from blocks_oracle import (
@@ -15,6 +18,7 @@ from blocks_oracle import (
 import hesscomb.cohomology as cohomology
 import hesscomb.gkm as gkm
 from hesscomb.cohomology import (
+    _b1_exponents,
     _find_rewrite,
     _y_sector_xparts,
     basis_B1,
@@ -77,6 +81,18 @@ def test_basis_monomials_are_normal():
             for e in basis.elements:
                 (m,) = e.terms
                 assert _find_rewrite(m.xexp, m.y or 0, h.n, h(1)) is None, (h, m)
+    # and the converse: the engine leaves x^e alone only on B1, x^e y_k only
+    # on B2 (k < n), and never x^e y_n.  Each box reaches one step past its
+    # sector's bounds: e_j <= n - j for B1, e_1 = 0 and e_j <= j - 2 for B2.
+    for h in one_row_forms(2, 6):
+        n, h1 = h.n, h(1)
+        b1, xparts = set(_b1_exponents(h)), set(_y_sector_xparts(h))
+        for exps in itertools.product(*(range(n - j + 2) for j in range(1, n + 1))):
+            assert (_find_rewrite(exps, 0, n, h1) is None) == (exps in b1), (h, exps)
+        for exps in itertools.product(range(2), *(range(j) for j in range(2, n + 1))):
+            for y in range(1, n + 1):
+                normal = _find_rewrite(exps, y, n, h1) is None
+                assert normal == (y < n and exps in xparts), (h, exps, y)
 
 
 def test_blocks_and_orbits_share_one_y_n_chain(monkeypatch):
@@ -106,7 +122,7 @@ def test_caches_stay_within_their_bounds():
     forms = one_row_forms(2, 5)
     assert len(forms) > cohomology._RING_CACHE_SIZE
     for h in forms:
-        decomposition_counts(h)
+        transition_blocks(h)
         assert cohomology._one_row_ring.cache_info().currsize <= cohomology._RING_CACHE_SIZE
     assert cohomology._one_row_ring.cache_info().currsize == cohomology._RING_CACHE_SIZE
     forms = one_row_forms(2, 4)

@@ -4,12 +4,14 @@ import math
 import random
 import re
 import sys
+from collections import Counter
 from functools import cache
 
 import pytest
 
 from hesscomb import (
     BasisMismatch,
+    DecompositionCounts,
     DegreeTooLarge,
     IncGraph,
     NotSymmetric,
@@ -17,6 +19,7 @@ from hesscomb import (
     QPolynomial,
     SymFn,
     all_hessenberg_functions,
+    basis_transpose,
     change_basis,
     csf_by_coloring,
     csf_schur_by_ptableaux,
@@ -297,19 +300,36 @@ def test_pipeline_positivity_n3():
 
 
 def test_frobenius_from_decomposition_basics():
-    from hesscomb import DecompositionCounts
-
     c = DecompositionCounts(4, {0: (1, 0)})
     assert frobenius_from_decomposition(c) == schur(4, {(4,): {0: 1}})
     c2 = DecompositionCounts(4, {1: (0, 1)})
     assert frobenius_from_decomposition(c2) == schur(4, {(3, 1): {1: 1}})
 
 
+def transpose_decomposition_counts(h):
+    """Per degree, the trivial count from TransposeB1 and the standard count
+    from TransposeB3, whose elements come n - 1 to an x-part."""
+    b1, _, b3 = basis_transpose(h)
+    trivial, standard = Counter(b1.degrees()), Counter(b3.degrees())
+    assert all(c % (h.n - 1) == 0 for c in standard.values()), h.values
+    degrees = sorted(trivial.keys() | standard.keys())
+    return DecompositionCounts(
+        h.n, {d: (trivial[d], standard[d] // (h.n - 1)) for d in degrees}
+    )
+
+
 def _check_frobenius_matches_omega_csf(n):
-    for h1 in range(1, n + 1):
-        h = one_row(n, h1)
+    # the paper's decompositions read as a graded character equal omega of the
+    # csf (Shareshian-Wachs; Brosnan-Chow), for h = (h(1), n, ..., n) and for
+    # its transpose ((n-1)^(n-m), n^m)
+    for k in range(1, n + 1):
+        h = one_row(n, k)
         counts = decomposition_counts(h)
         assert frobenius_from_decomposition(counts) == omega(
+            csf_schur_by_ptableaux(h)
+        ), h.values
+        h = new_hessenberg([n - 1] * (n - k) + [n] * k)
+        assert frobenius_from_decomposition(transpose_decomposition_counts(h)) == omega(
             csf_schur_by_ptableaux(h)
         ), h.values
 
@@ -384,8 +404,6 @@ def test_coloring_matches_ptableaux_schur_n5():
 
 def _m_lambda_at_ones(p: Partition, nvars: int) -> int:
     """Number of monomials in m_lambda over nvars variables."""
-    from collections import Counter
-
     mults = Counter(p.parts)
     zeros = nvars - len(p.parts)
     count = math.factorial(nvars) // math.factorial(zeros)
