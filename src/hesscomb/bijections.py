@@ -5,11 +5,15 @@ Three maps, each with its inverse and a step-by-step trace variant:
   * B1 monomials         <->  P-tableaux of shape (1^n), one-row h;
   * B3 elements          <->  pairs (standard tableau, P-tableau) of shape
                               (2, 1^(n-2)), one-row h.
-Each map and its trace run one shared insertion routine; the trace passes it
-a list to record the steps in, so the map itself records nothing.
+Each map has one insertion routine and one reading routine, which work on an
+exponent tuple, the value tuple of h and the tableau's first column as a
+bottom-to-top list of ints.  phi_*, psi_* and trace_phi_* check their objects,
+run the routine and build their output; a trace passes the insertion routine
+a list to record the steps in, so the map itself records nothing.  round_trip
+runs the routines over a whole basis and builds no object per element.
 
-Columns are handled as bottom-to-top lists throughout; PTableau rows are
-bottom-up, so rows[0] is the bottom row.
+Columns are bottom-to-top lists throughout; PTableau rows are bottom-up, so
+rows[0] is the bottom row.
 """
 
 from __future__ import annotations
@@ -17,13 +21,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cohomology import XYElement, XYMonomial, _divisible
-from .errors import InvalidPair, NotInBasis, NotPTableau
-from .hessenberg import HessenbergFunction, _one_row_h1
+from .cohomology import (
+    XYElement,
+    XYMonomial,
+    _b1_exponents,
+    _divisible,
+    _nilpotent_exponents,
+    _y_sector_xparts,
+)
+from .errors import HesscombError, InvalidPair, NotInBasis, NotPTableau
+from .hessenberg import HessenbergFunction, _one_row_h1, incomparable_pairs
 from .tableaux import (
     Partition,
     PTableau,
-    inversions,
+    _column_holds,
+    _fills,
+    _row_holds,
     is_p_tableau,
     syt_with_bottom_pair,
 )
@@ -60,31 +73,62 @@ def _check_column_shape(t: PTableau) -> None:
         raise NotPTableau(f"expected shape (1^{t.n}), got {t.shape}")
 
 
-def _check_nilpotent_monomial(h: HessenbergFunction, m: XYMonomial) -> None:
+def _x_exponents(h: HessenbergFunction, m: XYMonomial, kind: str) -> tuple[int, ...]:
+    """The exponent tuple of m, once m is a pure-x monomial in h.n variables."""
     if m.y is not None:
-        raise NotInBasis("nilpotent basis monomials carry no y factor")
+        raise NotInBasis(f"{kind} basis monomials carry no y factor")
     if m.n != h.n:
         raise NotInBasis(f"monomial has {m.n} variables, expected {h.n}")
-    for k, e in enumerate(m.xexp, start=1):
-        if not 0 <= e <= h(k) - k:
-            raise NotInBasis(f"exponent {e} on x_{k} outside 0..{h(k) - k}")
+    return m.xexp
 
 
-def _insert_nilpotent(h: HessenbergFunction, m: XYMonomial, steps: list | None = None) -> PTableau:
-    """phi_nilpotent, appending one record per insertion to steps if given."""
-    _check_nilpotent_monomial(h, m)
-    n = h.n
+def _read_monomial(h: HessenbergFunction, t: PTableau, exps: tuple[int, ...] | None) -> XYMonomial:
+    """x^exps, where exps is what a reading routine returned for t; None
+    means t is not a P-tableau, reported as NotPTableau."""
+    if exps is None:
+        is_p_tableau(h, t)  # raises ShapeMismatch for a wrong size or filling
+        raise NotPTableau(f"not a P-tableau for h = {h}")
+    return XYMonomial(exps)
+
+
+def _insert_nilpotent(hv: tuple[int, ...], exps: tuple[int, ...], steps: list | None = None) -> list[int]:
+    """The column that phi_nilpotent sends x^exps to, hv = h.values;
+    appends one record per insertion to steps if given."""
+    n = len(hv)
+    for k, e in enumerate(exps, start=1):
+        if not 0 <= e <= hv[k - 1] - k:
+            raise NotInBasis(f"exponent {e} on x_{k} outside 0..{hv[k - 1] - k}")
     col = [n]
     for k in range(n - 1, 0, -1):
-        i = m.xexp[k - 1]
+        i = exps[k - 1]
         if i == 0:
             col.insert(0, k)
         else:
-            positions = [p for p, v in enumerate(col) if k < v <= h(k)]
+            # Every entry placed so far exceeds k.
+            positions = [p for p, v in enumerate(col) if v <= hv[k - 1]]
             col.insert(positions[i - 1] + 1, k)
         if steps is not None:
             steps.append({"entry": k, "exponent": i, "column": list(col)})
-    return _column_tableau(col)
+    return col
+
+
+def _read_nilpotent(
+    hv: tuple[int, ...], pairs: tuple[tuple[int, int], ...], col: list[int]
+) -> tuple[int, ...] | None:
+    """The exponents that phi_nilpotent sends to the column col, or None if
+    col is not a P-tableau column; pairs are the incomparable pairs of P_h.
+    i_k counts the pairs (k, j) with j below k."""
+    n = len(hv)
+    if not (_fills(col, n) and _column_holds(hv, col)):
+        return None
+    level = [0] * (n + 1)
+    for p, v in enumerate(col):
+        level[v] = p
+    exps = [0] * n
+    for i, j in pairs:
+        if level[i] > level[j]:
+            exps[i - 1] += 1
+    return tuple(exps)
 
 
 def phi_nilpotent(h: HessenbergFunction, m: XYMonomial) -> PTableau:
@@ -94,44 +138,30 @@ def phi_nilpotent(h: HessenbergFunction, m: XYMonomial) -> PTableau:
     the bottom; otherwise directly above the i_k-th lowest current entry among
     k+1, ..., h(k).
     """
-    return _insert_nilpotent(h, m)
+    return _column_tableau(_insert_nilpotent(h.values, _x_exponents(h, m, "nilpotent")))
 
 
 def psi_nilpotent(h: HessenbergFunction, t: PTableau) -> XYMonomial:
     """Reads off i_k = number of inversions with k as the smaller entry."""
     _check_column_shape(t)
-    pairs = inversions(h, t).pairs
-    exps = [0] * h.n
-    for small, _large in pairs:
-        exps[small - 1] += 1
-    return XYMonomial(tuple(exps))
+    return _read_monomial(h, t, _read_nilpotent(h.values, tuple(incomparable_pairs(h)), _column_of(t)))
 
 
-def _check_b1_monomial(h: HessenbergFunction, m: XYMonomial) -> None:
-    n = h.n
-    if m.y is not None:
-        raise NotInBasis("pure-x basis monomials carry no y factor")
-    if m.n != n:
-        raise NotInBasis(f"monomial has {m.n} variables, expected {n}")
-    for j, e in enumerate(m.xexp, start=1):
+def _insert_b1(hv: tuple[int, ...], exps: tuple[int, ...], steps: list | None = None) -> list[int]:
+    """The column that phi_b1 sends x^exps to, hv = h.values of a one-row h;
+    appends one record per insertion and then the slide to steps if given."""
+    n, h1 = len(hv), hv[0]
+    for j, e in enumerate(exps, start=1):
         if not 0 <= e <= n - j:
             raise NotInBasis(f"exponent {e} on x_{j} outside 0..{n - j}")
-    if _divisible(m.xexp, range(1, _one_row_h1(h) + 1)):
+    if _divisible(exps, range(1, h1 + 1)):
         raise NotInBasis("monomial divisible by x_1...x_{h(1)}")
-
-
-def _insert_b1(h: HessenbergFunction, m: XYMonomial, steps: list | None = None) -> PTableau:
-    """phi_b1, appending one record per insertion and then the slide to steps
-    if given."""
-    h1 = _one_row_h1(h)
-    _check_b1_monomial(h, m)
-    n = h.n
     col = [n]
     for k in range(n - 1, 0, -1):
-        col.insert(m.xexp[k - 1], k)
+        col.insert(exps[k - 1], k)
         if steps is not None:
-            steps.append({"entry": k, "exponent": m.xexp[k - 1], "column": list(col)})
-    kprime = next(k for k in range(1, h1 + 1) if m.xexp[k - 1] == 0)
+            steps.append({"entry": k, "exponent": exps[k - 1], "column": list(col)})
+    kprime = next(k for k in range(1, h1 + 1) if exps[k - 1] == 0)
     if kprime != 1:
         col.remove(kprime)
         col.insert(col.index(1), kprime)
@@ -140,12 +170,33 @@ def _insert_b1(h: HessenbergFunction, m: XYMonomial, steps: list | None = None) 
         if kprime != 1:
             slide["column"] = list(col)
         steps.append(slide)
-    return _column_tableau(col)
+    return col
+
+
+def _read_b1(hv: tuple[int, ...], col: list[int]) -> tuple[int, ...] | None:
+    """The exponents that phi_b1 sends to the column col, hv = h.values of a
+    one-row h, or None if col is not a P-tableau column."""
+    n = len(hv)
+    if not (_fills(col, n) and _column_holds(hv, col)):
+        return None
+    col = list(col)
+    pos1 = col.index(1)
+    if pos1 > 0:
+        col.insert(0, col.pop(pos1 - 1))
+    # Undo the insertions, smallest entry first: each k went in at index
+    # i_k, among entries that all exceed it.
+    exps = []
+    for k in range(1, n + 1):
+        p = col.index(k)
+        exps.append(p)
+        del col[p]
+    return tuple(exps)
 
 
 def phi_b1(h: HessenbergFunction, m: XYMonomial) -> PTableau:
     """Insertion above i_k arbitrary entries, then one slide below the 1."""
-    return _insert_b1(h, m)
+    _one_row_h1(h)
+    return _column_tableau(_insert_b1(h.values, _x_exponents(h, m, "pure-x")))
 
 
 def psi_b1(h: HessenbergFunction, t: PTableau) -> XYMonomial:
@@ -157,24 +208,14 @@ def psi_b1(h: HessenbergFunction, t: PTableau) -> XYMonomial:
     """
     _one_row_h1(h)
     _check_column_shape(t)
-    if not is_p_tableau(h, t):
-        raise NotPTableau(f"not a P-tableau for h = {h}")
-    col = _column_of(t)
-    pos1 = col.index(1)
-    if pos1 > 0:
-        kprime = col.pop(pos1 - 1)
-        col.insert(0, kprime)
-    exps = [0] * h.n
-    for p, k in enumerate(col):
-        exps[k - 1] = sum(1 for v in col[:p] if v > k)
-    return XYMonomial(tuple(exps))
+    return _read_monomial(h, t, _read_b1(h.values, _column_of(t)))
 
 
 def _parse_b3_element(h: HessenbergFunction, e: XYElement) -> tuple[tuple[int, ...], int]:
-    """Splits a B3 element into (x-exponents, k) or raises NotInBasis."""
+    """Splits e into (x-exponents, k) if it has the form x^exps (y_k - y_1),
+    or raises NotInBasis; _insert_b3 checks the exponents."""
     h1 = _one_row_h1(h)
-    n = h.n
-    if h1 == n or len(e.terms) != 2:
+    if h1 == h.n or len(e.terms) != 2:
         raise NotInBasis("expected an x-part times (y_k - y_1)")
     by_coeff = {c: m for m, c in e.terms.items()}
     if set(by_coeff) != {1, -1}:
@@ -182,7 +223,16 @@ def _parse_b3_element(h: HessenbergFunction, e: XYElement) -> tuple[tuple[int, .
     plus, minus = by_coeff[1], by_coeff[-1]
     if minus.y != 1 or plus.y in (None, 1) or plus.xexp != minus.xexp:
         raise NotInBasis("expected an x-part times (y_k - y_1)")
-    exps = plus.xexp
+    return plus.xexp, plus.y
+
+
+def _insert_b3(
+    hv: tuple[int, ...], exps: tuple[int, ...], steps: list | None = None
+) -> tuple[list[int], int]:
+    """The second tableau of phi_b3 for the x-part x^exps, hv = h.values of a
+    one-row h, as its first column (1 at the bottom) and the entry j right
+    of the 1; appends one record per insertion to steps if given."""
+    n, h1 = len(hv), hv[0]
     if exps[0] != 0:
         raise NotInBasis("x_1 does not appear in B3 elements")
     for v in range(2, n + 1):
@@ -190,15 +240,6 @@ def _parse_b3_element(h: HessenbergFunction, e: XYElement) -> tuple[tuple[int, .
             raise NotInBasis(f"exponent on x_{v} exceeds {v - 2}")
     if _divisible(exps, range(h1 + 1, n + 1)):
         raise NotInBasis("x-part divisible by x_{h(1)+1}...x_n")
-    return exps, plus.y
-
-
-def _insert_b3(h: HessenbergFunction, e: XYElement, steps: list | None = None) -> TabPair:
-    """phi_b3, appending one record per insertion to steps if given."""
-    exps, k = _parse_b3_element(h, e)
-    h1 = _one_row_h1(h)
-    n = h.n
-    s = syt_with_bottom_pair(n, k)
     j = max(i for i in range(h1 + 1, n + 1) if exps[i - 1] == 0)
     col = [1]
     for i in range(2, n + 1):
@@ -208,15 +249,40 @@ def _insert_b3(h: HessenbergFunction, e: XYElement, steps: list | None = None) -
         col.insert(len(col) - under, i)
         if steps is not None:
             steps.append({"entry": i, "under": under, "column": list(col)})
+    return col, j
+
+
+def _read_b3(
+    hv: tuple[int, ...], pairs: tuple[tuple[int, int], ...], col: list[int], j: int
+) -> tuple[int, ...] | None:
+    """The x-exponents that phi_b3 sends to the tableau of shape
+    (2, 1^(n-2)) with first column col and j right of its bottom entry, or
+    None if that is not a P-tableau; pairs are the incomparable pairs of P_h.
+    The exponent on x_i is (i-2) minus the pairs (a, i) with a above i."""
+    n = len(hv)
+    if not (_fills(col + [j], n) and _row_holds(hv, (col[0], j)) and _column_holds(hv, col)):
+        return None
+    level = [0] * (n + 1)  # j is in the bottom row, level 0
+    for p, v in enumerate(col):
+        level[v] = p
+    larger = [0] * (n + 1)
+    for a, b in pairs:
+        if level[a] > level[b]:
+            larger[b] += 1
+    return (0,) + tuple(i - 2 - larger[i] for i in range(2, n + 1))
+
+
+def _b3_pair(n: int, k: int, col: list[int], j: int) -> TabPair:
     shape = Partition((2,) + (1,) * (n - 2))
-    rows = ((1, j),) + tuple((v,) for v in col[1:])
-    return TabPair(s, PTableau(shape, rows))
+    rows = ((col[0], j),) + tuple((v,) for v in col[1:])
+    return TabPair(syt_with_bottom_pair(n, k), PTableau(shape, rows))
 
 
 def phi_b3(h: HessenbergFunction, e: XYElement) -> TabPair:
     """Pairs the y-index with a standard tableau and encodes the exponents as
     complementary inversion counts in a P-tableau of shape (2, 1^(n-2))."""
-    return _insert_b3(h, e)
+    exps, k = _parse_b3_element(h, e)
+    return _b3_pair(h.n, k, *_insert_b3(h.values, exps))
 
 
 def psi_b3(h: HessenbergFunction, p: TabPair) -> XYElement:
@@ -232,19 +298,41 @@ def psi_b3(h: HessenbergFunction, p: TabPair) -> XYElement:
     k = p.s.rows[0][1]
     if p.s != syt_with_bottom_pair(n, k):
         raise InvalidPair("first tableau is not standard")
-    try:
-        pairs = inversions(h, p.t).pairs
-    except NotPTableau:
-        raise InvalidPair(f"second tableau is not a P-tableau for h = {h}") from None
-    larger_counts = [0] * (n + 1)
-    for _small, large in pairs:
-        larger_counts[large] += 1
-    exps = [0] * n
-    for i in range(2, n + 1):
-        exps[i - 1] = (i - 2) - larger_counts[i]
-    return XYElement(
-        n, {XYMonomial(tuple(exps), k): 1, XYMonomial(tuple(exps), 1): -1}
-    )
+    exps = _read_b3(h.values, tuple(incomparable_pairs(h)), _column_of(p.t), p.t.rows[0][1])
+    if exps is None:
+        is_p_tableau(h, p.t)  # raises ShapeMismatch for a bad filling
+        raise InvalidPair(f"second tableau is not a P-tableau for h = {h}")
+    return XYElement(n, {XYMonomial(exps, k): 1, XYMonomial(exps, 1): -1})
+
+
+def round_trip(h: HessenbergFunction, name: str) -> tuple[int, bool]:
+    """(size of the basis of map `name`, whether phi sends each of its
+    elements to a P-tableau of the map's shape that psi reads back to that
+    element).
+
+    Each element gets every check phi and psi make, but the routines run on
+    the exponent tuples the basis is built from, so no basis, element or
+    tableau is built per element; B3's standard tableaux are built once per k.
+    """
+    hv = h.values
+    if name == "nilpotent":
+        source = _nilpotent_exponents(h)
+        pairs = tuple(incomparable_pairs(h))
+        return len(source), all(_read_nilpotent(hv, pairs, _insert_nilpotent(hv, e)) == e for e in source)
+    if name == "b1":
+        source = _b1_exponents(h)
+        return len(source), all(_read_b1(hv, _insert_b1(hv, e)) == e for e in source)
+    if name == "b3":
+        source = _y_sector_xparts(h)
+        pairs = tuple(incomparable_pairs(h))
+        syts = [(k, syt_with_bottom_pair(h.n, k)) for k in range(2, h.n + 1)]
+        ok = all(
+            s.rows[0][1] == k and _read_b3(hv, pairs, *_insert_b3(hv, e)) == e
+            for e in source
+            for k, s in syts
+        )
+        return len(source) * len(syts), ok
+    raise HesscombError(f"unknown map {name!r}; use nilpotent, b1 or b3")
 
 
 # --- step-by-step traces (for the CLI and the embedded reference data) --------
@@ -256,7 +344,7 @@ def _tableau_data(t: PTableau) -> dict:
 
 def trace_phi_nilpotent(h: HessenbergFunction, m: XYMonomial) -> dict:
     steps: list[dict] = []
-    t = _insert_nilpotent(h, m, steps)
+    t = _column_tableau(_insert_nilpotent(h.values, _x_exponents(h, m, "nilpotent"), steps))
     return {
         "map": "nilpotent",
         "h": list(h.values),
@@ -267,8 +355,9 @@ def trace_phi_nilpotent(h: HessenbergFunction, m: XYMonomial) -> dict:
 
 
 def trace_phi_b1(h: HessenbergFunction, m: XYMonomial) -> dict:
+    _one_row_h1(h)
     steps: list[dict] = []
-    t = _insert_b1(h, m, steps)
+    t = _column_tableau(_insert_b1(h.values, _x_exponents(h, m, "pure-x"), steps))
     slide = steps.pop()
     return {
         "map": "b1",
@@ -281,13 +370,14 @@ def trace_phi_b1(h: HessenbergFunction, m: XYMonomial) -> dict:
 
 
 def trace_phi_b3(h: HessenbergFunction, e: XYElement) -> dict:
+    exps, k = _parse_b3_element(h, e)
     steps: list[dict] = []
-    pair = _insert_b3(h, e, steps)
+    pair = _b3_pair(h.n, k, *_insert_b3(h.values, exps, steps))
     return {
         "map": "b3",
         "h": list(h.values),
         "input": json.loads(e.to_json()),
-        "k": pair.s.rows[0][1],
+        "k": k,
         "s": _tableau_data(pair.s),
         "start": {"bottom_row": list(pair.t.rows[0])},
         "steps": steps,

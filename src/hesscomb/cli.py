@@ -16,12 +16,10 @@ from functools import cache
 from . import goldens
 from .bijections import (
     TabPair,
-    phi_b1,
-    phi_b3,
-    phi_nilpotent,
     psi_b1,
     psi_b3,
     psi_nilpotent,
+    round_trip,
     trace_phi_b1,
     trace_phi_b3,
     trace_phi_nilpotent,
@@ -104,7 +102,6 @@ def _cmd_csf(args) -> tuple[str, int]:
     schur = change_basis(f, "schur")
     if args.fmt == "latex":
         return schur.pretty(), EXIT_OK
-    _require_format(args.fmt, ("json", "latex"))
     at_one = change_basis(f.at_q(1), "elementary")
     omega_h = change_basis(omega(schur), "homogeneous")
     data = {
@@ -123,13 +120,11 @@ def _cmd_poincare(args) -> tuple[str, int]:
     report = reconcile(args.h)
     if args.fmt == "latex":
         return report.polynomial().latex(), EXIT_OK
-    _require_format(args.fmt, ("json", "latex"))
     code = EXIT_OK if report.agree else EXIT_VERIFICATION
     return report.to_json(), code
 
 
 def _cmd_tableaux(args) -> tuple[str, int]:
-    _require_format(args.fmt, ("json",))
     h = args.h
     if args.shape.size != h.n:
         raise HesscombError(f"shape {args.shape} has size {args.shape.size}, expected {h.n}")
@@ -188,7 +183,6 @@ def _cmd_gkm(args) -> tuple[str, int]:
     g = build_gkm_graph(h)
     if args.fmt == "dot":
         return g.to_dot(), EXIT_OK
-    _require_format(args.fmt, ("json", "dot"))
     return g.to_json(), EXIT_OK
 
 
@@ -207,7 +201,6 @@ def _cmd_basis(args) -> tuple[str, int]:
         blocks = transition_blocks(h)
         if args.fmt == "csv":
             return "\n".join(b.to_csv() for b in blocks), EXIT_OK
-        _require_format(args.fmt, ("json", "csv"))
         dets = [b.determinant() for b in blocks]
         data = {
             "h": list(h.values),
@@ -296,35 +289,25 @@ def _bijection_inverse(args) -> tuple[str, int]:
 
 
 def _bijection_round_trip(args) -> tuple[str, int]:
-    h = args.h
-    # Built per call: a module-level table would keep the functions bound at
-    # import time even if this module's attributes are replaced later.
-    basis, phi, psi = {
-        "nilpotent": (basis_nilpotent, phi_nilpotent, psi_nilpotent),
-        "b1": (basis_B1, phi_b1, psi_b1),
-        "b3": (basis_B3, phi_b3, psi_b3),
-    }[args.map]
-    elements = basis(h).elements
-    # The monomial maps act on the single monomial of each basis element.
-    items = elements if args.map == "b3" else [m for el in elements for m in el.terms]
-    ok = all(psi(h, phi(h, x)) == x for x in items)
-    data = {"map": args.map, "h": list(h.values), "count": len(items), "all_ok": ok}
+    count, ok = round_trip(args.h, args.map)
+    data = {"map": args.map, "h": list(args.h.values), "count": count, "all_ok": ok}
     return _json(data), EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def _cmd_bijection(args) -> tuple[str, int]:
-    _require_format(args.fmt, ("json",))
+    # The parser takes exactly one of --monomial, --tableau and --round-trip.
+    if args.trace and args.monomial is None:
+        raise HesscombError("--trace applies only to --monomial")
+    if args.k is not None and (args.map != "b3" or args.round_trip):
+        raise HesscombError("--k applies only to map b3 with --monomial or --tableau")
     if args.round_trip:
         return _bijection_round_trip(args)
     if args.monomial is not None:
         return _bijection_forward(args)
-    if args.tableau is not None:
-        return _bijection_inverse(args)
-    raise HesscombError("bijection needs --monomial, --tableau, or --round-trip")
+    return _bijection_inverse(args)
 
 
 def _cmd_verify_goldens(args) -> tuple[str, int]:
-    _require_format(args.fmt, ("json",))
     results = goldens.verify_all()
     items = []
     for r in results:
@@ -337,12 +320,17 @@ def _cmd_verify_goldens(args) -> tuple[str, int]:
     return _json(data), EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
-def _add_command(sub, name: str, run, *, needs_h: bool = True, max_n: int = DEFAULT_MAX_N, **kwargs):
+def _add_command(
+    sub, name: str, run, *, formats=("json",), needs_h: bool = True, max_n: int = DEFAULT_MAX_N, **kwargs
+):
     """A subcommand that runs `run` on the parsed arguments.  Every subcommand
-    takes --format; one that reads an h takes --h and its --max-n guardrail."""
+    takes --format, one of `formats`; one that reads an h takes --h and its
+    --max-n guardrail."""
     p = sub.add_parser(name, **kwargs)
-    p.set_defaults(run=run)
-    p.add_argument("--format", dest="fmt", default="json", choices=("json", "csv", "latex", "dot"))
+    p.set_defaults(run=run, formats=formats)
+    # Checked in _parse_args rather than by `choices`, which would report a
+    # plain HesscombError instead of UnsupportedFormat.
+    p.add_argument("--format", dest="fmt", default="json", metavar="{" + ",".join(formats) + "}")
     if needs_h:
         p.add_argument("--h", dest="h_values", required=True, help="Hessenberg function as a comma list, e.g. 2,3,3")
         p.add_argument("--max-n", dest="max_n", type=int, default=max_n)
@@ -373,27 +361,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     # csf sums colorings by a subset DP (3^n steps), so it runs up to the
     # basis changes' DEGREE_BOUND rather than the n! walks' DEFAULT_MAX_N.
-    _add_command(sub, "csf", _cmd_csf, max_n=DEGREE_BOUND, help="chromatic quasisymmetric function report")
-    _add_command(sub, "poincare", _cmd_poincare, help="Poincare polynomial reconciliation")
+    _add_command(
+        sub, "csf", _cmd_csf, formats=("json", "latex"), max_n=DEGREE_BOUND,
+        help="chromatic quasisymmetric function report",
+    )
+    _add_command(sub, "poincare", _cmd_poincare, formats=("json", "latex"), help="Poincare polynomial reconciliation")
     tab = _add_command(sub, "tableaux", _cmd_tableaux, help="enumerate P-tableaux with inversions")
     tab.add_argument("--shape", required=True, help="partition as a comma list, e.g. 2,1,1,1")
 
-    gkm = _add_command(sub, "gkm", _cmd_gkm, help="GKM graph, classes, relations")
+    gkm = _add_command(sub, "gkm", _cmd_gkm, formats=("json", "dot"), help="GKM graph, classes, relations")
     gkm.add_argument("--dump-class", help="class name such as x2, y2, t1")
     gkm.add_argument("--variant", choices=("auto", "one-row", "transpose"), default="auto")
     gkm.add_argument("--relations", action="store_true", help="verify the product relations")
 
-    basis = _add_command(sub, "basis", _cmd_basis, help="monomial bases and transition blocks")
+    basis = _add_command(
+        sub, "basis", _cmd_basis, formats=("json", "csv"), help="monomial bases and transition blocks"
+    )
     basis.add_argument("--which", choices=("B1", "B2", "B3", "Nh", "transpose"), default="B1")
     basis.add_argument("--blocks", action="store_true", help="emit per-degree transition blocks")
 
     bij = _add_command(sub, "bijection", _cmd_bijection, help="apply, trace, or round-trip the tableau maps")
     bij.add_argument("--map", choices=("nilpotent", "b1", "b3"), required=True)
-    bij.add_argument("--monomial", help="x-exponents as a comma list")
-    bij.add_argument("--k", type=int, help="y index for map b3")
-    bij.add_argument("--tableau", help="tableau rows, bottom-up, as JSON")
-    bij.add_argument("--trace", action="store_true", help="emit every insertion step")
-    bij.add_argument("--round-trip", dest="round_trip", action="store_true")
+    action = bij.add_mutually_exclusive_group(required=True)
+    action.add_argument("--monomial", help="x-exponents as a comma list")
+    action.add_argument("--tableau", help="tableau rows, bottom-up, as JSON")
+    action.add_argument(
+        "--round-trip", dest="round_trip", action="store_true",
+        help="check that psi undoes phi on the whole basis",
+    )
+    bij.add_argument("--k", type=int, help="y index for map b3, with --monomial or --tableau")
+    bij.add_argument("--trace", action="store_true", help="emit every insertion step of --monomial")
 
     _add_command(
         sub,
@@ -408,13 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """The parsed namespace with h (from --h, guarded by --max-n) and shape
-    resolved to their objects, for the subcommands that take them."""
+    resolved to their objects, for the subcommands that take them, and
+    --format checked against the subcommand's formats."""
     args = build_parser().parse_args(argv)
     if "h_values" in args:
         args.h = new_hessenberg(_parse_int_list(args.h_values, "--h"))
         _guard(args.h, args.max_n)
     if "shape" in args:
         args.shape = Partition(_parse_int_list(args.shape, "--shape"))
+    _require_format(args.fmt, args.formats)
     return args
 
 

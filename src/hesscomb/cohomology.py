@@ -270,8 +270,7 @@ def _element_key(e: XYElement, ydeg: int):
 def _staircase_monomials(bounds: list[int]) -> list[tuple[int, ...]]:
     """All exponent vectors with 0 <= e_i <= bounds[i], in reversed-lex order."""
     ranges = [range(b + 1) for b in reversed(bounds)]
-    out = [tuple(reversed(exps)) for exps in itertools.product(*ranges)]
-    return out
+    return [exps[::-1] for exps in itertools.product(*ranges)]
 
 
 def _divisible(exps: tuple[int, ...], positions) -> bool:
@@ -340,11 +339,15 @@ def basis_B3(h: HessenbergFunction) -> BasisSet:
     return BasisSet("B3", h, tuple(elems), y_form(h, "one-row"))
 
 
+def _nilpotent_exponents(h: HessenbergFunction) -> list[tuple[int, ...]]:
+    """The exponent tuples of the nilpotent basis: exponent of x_k at most
+    h(k) - k."""
+    return _staircase_monomials([h(k) - k for k in range(1, h.n + 1)])
+
+
 def basis_nilpotent(h: HessenbergFunction) -> BasisSet:
     """Monomials with exponent of x_k at most h(k) - k; valid for every h."""
-    n = h.n
-    monos = _staircase_monomials([h(k) - k for k in range(1, n + 1)])
-    elems = [XYElement.monomial(XYMonomial(exps)) for exps in monos]
+    elems = [XYElement.monomial(XYMonomial(exps)) for exps in _nilpotent_exponents(h)]
     elems.sort(key=lambda e: _element_key(e, 0))
     return BasisSet("Nh", h, tuple(elems))
 

@@ -13,12 +13,11 @@ import json
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 from math import factorial
 
 from .errors import KOutOfRange, NotPTableau, ShapeMismatch, checked_int, json_decoder
-from .hessenberg import HessenbergFunction, incomparable_pairs, new_hessenberg, poset_of
+from .hessenberg import HessenbergFunction, incomparable_pairs
 from .intpoly import IntPoly
 
 
@@ -73,10 +72,6 @@ class PTableau:
     def n(self) -> int:
         return self.shape.size
 
-    def reading_word(self) -> tuple[int, ...]:
-        """Bottom-to-top, left-to-right concatenation of the rows."""
-        return tuple(v for row in self.rows for v in row)
-
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(row[c] for row in self.rows if len(row) > c)
 
@@ -101,10 +96,27 @@ class PTableau:
         )
 
 
+def _fills(values, n: int) -> bool:
+    """Whether values are 1..n, each once."""
+    return sorted(values) == list(range(1, n + 1))
+
+
 def _check_filling(t: PTableau) -> None:
-    seen = sorted(v for row in t.rows for v in row)
-    if seen != list(range(1, t.n + 1)):
+    if not _fills([v for row in t.rows for v in row], t.n):
         raise ShapeMismatch("filling must use 1..n exactly once each")
+
+
+def _row_holds(hv: tuple[int, ...], row) -> bool:
+    """The row condition of P_h on one row, hv = h.values: each entry is
+    below-in-poset its right neighbour, h(left) < right."""
+    return all(hv[a - 1] < b for a, b in zip(row, row[1:]))
+
+
+def _column_holds(hv: tuple[int, ...], col) -> bool:
+    """The column condition of P_h on one column read bottom to top, hv =
+    h.values: no entry is above-in-poset the entry beneath it, so
+    h(above) >= below."""
+    return all(hv[a - 1] >= b for b, a in zip(col, col[1:]))
 
 
 def is_p_tableau(h: HessenbergFunction, t: PTableau) -> bool:
@@ -113,16 +125,10 @@ def is_p_tableau(h: HessenbergFunction, t: PTableau) -> bool:
     if t.n != h.n:
         raise ShapeMismatch(f"tableau size {t.n} != n = {h.n}")
     _check_filling(t)
-    p = poset_of(h)
-    for row in t.rows:
-        for a, b in zip(row, row[1:]):
-            if not p.less(a, b):
-                return False
-    for below, above in zip(t.rows, t.rows[1:]):
-        for c in range(len(above)):
-            if p.less(above[c], below[c]):
-                return False
-    return True
+    hv = h.values
+    return all(_row_holds(hv, row) for row in t.rows) and all(
+        _column_holds(hv, t.column(c)) for c in range(len(t.rows[0]))
+    )
 
 
 def _row_starts(shape: Partition) -> list[int]:
@@ -241,16 +247,6 @@ def inversions(h: HessenbergFunction, t: PTableau) -> InversionData:
     return InversionData(
         frozenset((i, j) for i, j in incomparable_pairs(h) if level[i] > level[j])
     )
-
-
-@cache
-def _staircase(n: int) -> HessenbergFunction:
-    return new_hessenberg(range(1, n + 1))
-
-
-def enumerate_syt(shape: Partition) -> list[PTableau]:
-    """Standard tableaux: rows increase rightward, columns increase upward."""
-    return enumerate_p_tableaux(_staircase(shape.size), shape)
 
 
 def count_syt(shape: Partition) -> int:

@@ -2,7 +2,8 @@
 
 Round trips are exhausted over whole bases for n up to 5, images are compared
 against independent tableau enumeration, and the embedded reference traces are
-matched step for step.
+matched step for step.  round_trip, which runs the maps' routines on exponent
+tuples, is compared with the per-element route through the public maps.
 """
 
 import json
@@ -11,12 +12,16 @@ import pytest
 
 from hesscomb.bijections import (
     TabPair,
+    _insert_b1,
+    _insert_b3,
+    _insert_nilpotent,
     phi_b1,
     phi_b3,
     phi_nilpotent,
     psi_b1,
     psi_b3,
     psi_nilpotent,
+    round_trip,
     trace_phi_b1,
     trace_phi_b3,
     trace_phi_nilpotent,
@@ -28,7 +33,7 @@ from hesscomb.cohomology import (
     basis_B3,
     basis_nilpotent,
 )
-from hesscomb.errors import InvalidPair, NotInBasis, NotPTableau
+from hesscomb.errors import FormMismatch, HesscombError, InvalidPair, NotInBasis, NotPTableau
 from hesscomb.goldens import lookup
 from hesscomb.hessenberg import all_hessenberg_functions, classify_form, new_hessenberg
 from hesscomb.tableaux import (
@@ -209,6 +214,66 @@ def test_traces_match_maps_on_every_basis_element():
                     image = phi(h, x)
                     assert trace(h, x)["output"] == json.loads(image.to_json())
                     assert psi(h, image) == x
+
+
+# --- round_trip against the per-element route -------------------------------------
+
+ORACLE_MAPS = {
+    "nilpotent": (basis_nilpotent, phi_nilpotent, psi_nilpotent),
+    "b1": (basis_B1, phi_b1, psi_b1),
+    "b3": (basis_B3, phi_b3, psi_b3),
+}
+
+
+def oracle_round_trip(h, name):
+    """(count, ok) by the public objects: build the basis, send each element
+    (the single monomial of each, for the monomial maps) through phi and then
+    psi, and compare."""
+    basis, phi, psi = ORACLE_MAPS[name]
+    elements = basis(h).elements
+    items = elements if name == "b3" else [m for el in elements for m in el.terms]
+    return len(items), all(psi(h, phi(h, x)) == x for x in items)
+
+
+def routine_image(h, name, x):
+    """The rows of the image of x as the map's insertion routine gives them."""
+    if name == "nilpotent":
+        return column_rows(_insert_nilpotent(h.values, x.xexp))
+    if name == "b1":
+        return column_rows(_insert_b1(h.values, x.xexp))
+    plus = next(m for m, c in x.terms.items() if c == 1)
+    col, j = _insert_b3(h.values, plus.xexp)
+    return ((col[0], j),) + column_rows(col[1:])
+
+
+def check_round_trip_against_oracle(n):
+    for h in all_hessenberg_functions(n):
+        for name, (basis, phi, _psi) in ORACLE_MAPS.items():
+            if name != "nilpotent" and not classify_form(h).is_one_row:
+                with pytest.raises(FormMismatch):
+                    round_trip(h, name)
+                continue
+            assert round_trip(h, name) == oracle_round_trip(h, name), (h, name)
+            for e in basis(h).elements:
+                x = e if name == "b3" else next(iter(e.terms))
+                image = phi(h, x)
+                rows = image.t.rows if name == "b3" else image.rows
+                assert routine_image(h, name, x) == rows
+
+
+def test_round_trip_matches_per_element_route():
+    for n in range(1, 7):
+        check_round_trip_against_oracle(n)
+
+
+@pytest.mark.long
+def test_round_trip_matches_per_element_route_n7():
+    check_round_trip_against_oracle(7)
+
+
+def test_round_trip_rejects_unknown_map():
+    with pytest.raises(HesscombError, match="unknown map"):
+        round_trip(new_hessenberg([2, 3, 3]), "b2")
 
 
 # --- error paths -----------------------------------------------------------------

@@ -335,6 +335,17 @@ def test_command_line_errors_are_json(capsys):
         ["verify-goldens", "--h", "2,1"],
         ["verify-goldens", "--h", "1"],
         ["verify-paper", "--max-n", "3"],
+        # bijection rejects options it would ignore: --k outside map b3, any
+        # other option with --round-trip, --trace without --monomial, and
+        # --monomial with --tableau
+        ["bijection", "--h", "2,3,3", "--map", "b1", "--monomial", "0,0,0", "--k", "2"],
+        ["bijection", "--h", "2,3,3", "--map", "nilpotent", "--tableau", "[[1],[2],[3]]", "--k", "2"],
+        ["bijection", "--h", "2,3,3", "--map", "b1", "--round-trip", "--monomial", "0,0,0"],
+        ["bijection", "--h", "2,3,3", "--map", "b1", "--round-trip", "--tableau", "[[1],[2],[3]]"],
+        ["bijection", "--h", "2,3,3", "--map", "b1", "--round-trip", "--trace"],
+        ["bijection", "--h", "2,3,3", "--map", "b3", "--round-trip", "--k", "2"],
+        ["bijection", "--h", "2,3,3", "--map", "b1", "--tableau", "[[1],[2],[3]]", "--trace"],
+        ["bijection", "--h", "2,3,3", "--map", "b1", "--monomial", "0,0,0", "--tableau", "[[1],[2],[3]]"],
     ):
         code = cli.main(argv)
         captured = capsys.readouterr()
@@ -400,11 +411,33 @@ def test_poincare_disagreement_exit(capsys, monkeypatch):
 
 
 def test_round_trip_failure_exit(capsys, monkeypatch):
-    from hesscomb.cohomology import XYMonomial
+    from hesscomb import bijections
 
-    monkeypatch.setattr(cli, "psi_b1", lambda h, t: XYMonomial((9, 9, 9)))
+    monkeypatch.setattr(bijections, "_read_b1", lambda hv, col: (9, 9, 9))
     code, data = run_json(
         capsys, ["bijection", "--h", "2,3,3", "--map", "b1", "--round-trip"]
+    )
+    assert code == 3
+    assert data["all_ok"] is False
+
+
+def test_round_trip_fails_on_an_image_that_is_not_a_p_tableau(capsys, monkeypatch):
+    from hesscomb import bijections
+
+    # For h = (2,3,3), x_2 goes to the column [1, 3, 2] (bottom to top).  The
+    # column [3, 1, 2] reads back to x_2 as well, since its incomparable pairs
+    # (1,2) and (2,3) lie the same way up, but 1 sits on 3 although h(1) < 3:
+    # only the P-tableau check can reject it.
+    insert = bijections._insert_nilpotent
+    assert insert((2, 3, 3), (0, 1, 0)) == [1, 3, 2]
+    assert bijections._read_nilpotent((2, 3, 3), ((1, 2), (2, 3)), [1, 3, 2]) == (0, 1, 0)
+    monkeypatch.setattr(
+        bijections,
+        "_insert_nilpotent",
+        lambda hv, exps, steps=None: [3, 1, 2] if exps == (0, 1, 0) else insert(hv, exps, steps),
+    )
+    code, data = run_json(
+        capsys, ["bijection", "--h", "2,3,3", "--map", "nilpotent", "--round-trip"]
     )
     assert code == 3
     assert data["all_ok"] is False

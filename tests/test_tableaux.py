@@ -16,7 +16,6 @@ from hesscomb import (
     conjugate,
     count_syt,
     enumerate_p_tableaux,
-    enumerate_syt,
     inversion_counts,
     inversions,
     is_p_tableau,
@@ -116,7 +115,10 @@ def test_enumeration_order_is_reading_word_lex():
     for n in range(1, 7):
         for h in all_hessenberg_functions(n):
             for shape in partitions_of(n):
-                words = [t.reading_word() for t in enumerate_p_tableaux(h, shape)]
+                words = [
+                    tuple(v for row in t.rows for v in row)
+                    for t in enumerate_p_tableaux(h, shape)
+                ]
                 assert words == sorted(words)
 
 
@@ -210,10 +212,16 @@ def test_hook_inversion_generating_function():
             assert gf == QPolynomial.q(h1 - 1) * q_int(n - h1) * q_factorial(n - 2)
 
 
+def standard_tableaux(shape: Partition) -> list[PTableau]:
+    """Standard tableaux (rows increase rightward, columns upward) are the
+    P-tableaux of the staircase h = (1, 2, ..., n), whose order is 1 < ... < n."""
+    return enumerate_p_tableaux(new_hessenberg(range(1, shape.size + 1)), shape)
+
+
 def test_count_syt_matches_enumeration():
     for n in range(1, 9):
         for p in partitions_of(n):
-            assert count_syt(p) == len(enumerate_syt(p))
+            assert count_syt(p) == len(standard_tableaux(p))
 
 
 def test_count_syt_known_values():
@@ -237,7 +245,7 @@ def test_syt_with_bottom_pair_is_standard():
     for n in range(2, 8):
         hook = Partition(tuple([2] + [1] * (n - 2)))
         found = {syt_with_bottom_pair(n, k) for k in range(2, n + 1)}
-        assert found <= set(enumerate_syt(hook))
+        assert found <= set(standard_tableaux(hook))
         assert len(found) == n - 1
 
 
