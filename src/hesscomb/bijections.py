@@ -214,8 +214,9 @@ def psi_b1(h: HessenbergFunction, t: PTableau) -> XYMonomial:
 def _parse_b3_element(h: HessenbergFunction, e: XYElement) -> tuple[tuple[int, ...], int]:
     """Splits e into (x-exponents, k) if it has the form x^exps (y_k - y_1),
     or raises NotInBasis; _insert_b3 checks the exponents."""
-    h1 = _one_row_h1(h)
-    if h1 == h.n or len(e.terms) != 2:
+    if _one_row_h1(h) == h.n:
+        raise NotInBasis(f"B3 is empty when h(1) = n = {h.n}")
+    if len(e.terms) != 2:
         raise NotInBasis("expected an x-part times (y_k - y_1)")
     by_coeff = {c: m for m, c in e.terms.items()}
     if set(by_coeff) != {1, -1}:

@@ -44,6 +44,7 @@ from .gkm import (
     class_y,
     class_y_one_row,
     class_y_transpose,
+    one_line_str,
     verify_relations,
 )
 from .hessenberg import HessenbergFunction, inc_graph, new_hessenberg
@@ -140,7 +141,7 @@ def _cmd_tableaux(args) -> tuple[str, int]:
     return _json(data), EXIT_OK
 
 
-def _parse_class_name(h: HessenbergFunction, name: str, variant: str):
+def _parse_class_name(h: HessenbergFunction, name: str, variant: str | None):
     kind, index = name[0], name[1:]
     if kind not in ("x", "y", "t") or not (index.isascii() and index.isdigit()):
         raise HesscombError(f"unknown class name {name!r}; use e.g. x2, y2, t1")
@@ -157,7 +158,10 @@ def _parse_class_name(h: HessenbergFunction, name: str, variant: str):
 
 
 def _cmd_gkm(args) -> tuple[str, int]:
+    # The parser takes at most one of --dump-class and --relations.
     h = args.h
+    if args.variant is not None and args.dump_class is None:
+        raise HesscombError("--variant applies only to --dump-class")
     if args.dump_class:
         _require_format(args.fmt, ("json",))
         c = _parse_class_name(h, args.dump_class, args.variant)
@@ -170,8 +174,8 @@ def _cmd_gkm(args) -> tuple[str, int]:
         }
         if bad is not None:
             data["failing_edge"] = {
-                "u": "".join(str(v) for v in bad.w),
-                "v": "".join(str(v) for v in bad.v),
+                "u": one_line_str(bad.w),
+                "v": one_line_str(bad.v),
                 "label": bad.label_str(),
             }
         return _json(data), EXIT_OK
@@ -217,7 +221,7 @@ def _cmd_basis(args) -> tuple[str, int]:
         }
         return _json(data), EXIT_OK
     _require_format(args.fmt, ("json",))
-    which = args.which
+    which = args.which or "B1"
     if which == "transpose":
         sets = basis_transpose(h)
         data = {"h": list(h.values), "bases": [_basis_payload(b) for b in sets]}
@@ -369,16 +373,23 @@ def build_parser() -> argparse.ArgumentParser:
     tab = _add_command(sub, "tableaux", _cmd_tableaux, help="enumerate P-tableaux with inversions")
     tab.add_argument("--shape", required=True, help="partition as a comma list, e.g. 2,1,1,1")
 
+    # The mode options default to None or False, not to "auto" or "B1": an
+    # exclusive group ignores an option whose parsed value is its default
+    # object, as an argv literal "B1" can be.
     gkm = _add_command(sub, "gkm", _cmd_gkm, formats=("json", "dot"), help="GKM graph, classes, relations")
-    gkm.add_argument("--dump-class", help="class name such as x2, y2, t1")
-    gkm.add_argument("--variant", choices=("auto", "one-row", "transpose"), default="auto")
-    gkm.add_argument("--relations", action="store_true", help="verify the product relations")
+    mode = gkm.add_mutually_exclusive_group()
+    mode.add_argument("--dump-class", help="class name such as x2, y2, t1")
+    mode.add_argument("--relations", action="store_true", help="verify the product relations")
+    gkm.add_argument(
+        "--variant", choices=("auto", "one-row", "transpose"), help="y-class form for --dump-class (default auto)"
+    )
 
     basis = _add_command(
         sub, "basis", _cmd_basis, formats=("json", "csv"), help="monomial bases and transition blocks"
     )
-    basis.add_argument("--which", choices=("B1", "B2", "B3", "Nh", "transpose"), default="B1")
-    basis.add_argument("--blocks", action="store_true", help="emit per-degree transition blocks")
+    mode = basis.add_mutually_exclusive_group()
+    mode.add_argument("--which", choices=("B1", "B2", "B3", "Nh", "transpose"), help="basis to list (default B1)")
+    mode.add_argument("--blocks", action="store_true", help="emit per-degree transition blocks")
 
     bij = _add_command(sub, "bijection", _cmd_bijection, help="apply, trace, or round-trip the tableau maps")
     bij.add_argument("--map", choices=("nilpotent", "b1", "b3"), required=True)

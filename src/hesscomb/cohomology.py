@@ -18,7 +18,6 @@ from operator import add, neg, sub
 
 from .errors import (
     DegenerateForm,
-    HesscombError,
     NonTerminating,
     NotInBasis,
     NotSquare,
@@ -133,24 +132,6 @@ class XYElement:
 
     def scale(self, c: int) -> "XYElement":
         return XYElement(self.n, {m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other: "XYElement") -> "XYElement":
-        """Product when no two y factors meet; use multiply(h, a, b) otherwise."""
-        if other.n != self.n:
-            raise ShapeMismatch("mixed variable counts")
-        acc: dict[XYMonomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1.y is not None and m2.y is not None:
-                    raise HesscombError(
-                        "product of two y-monomials depends on h; use multiply()"
-                    )
-                m = XYMonomial(
-                    tuple(a + b for a, b in zip(m1.xexp, m2.xexp)),
-                    m1.y if m1.y is not None else m2.y,
-                )
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return XYElement(self.n, acc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, XYElement):

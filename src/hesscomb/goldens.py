@@ -24,6 +24,7 @@ from .gkm import (
     class_x,
     class_y_one_row,
     class_y_transpose,
+    one_line_str,
 )
 from .hessenberg import new_hessenberg
 from .tableaux import Partition, p_tableaux_with_inversions
@@ -159,11 +160,6 @@ _GOLDENS: dict[str, dict] = {
 }
 
 
-def golden_store() -> dict[str, dict]:
-    """A deep copy of the embedded reference data, keyed by example name."""
-    return copy.deepcopy(_GOLDENS)
-
-
 def lookup(key: str) -> dict:
     if key not in _GOLDENS:
         raise KeyNotFound(f"no golden named {key!r}")
@@ -178,10 +174,7 @@ class GoldenResult:
 
 
 def _class_values(c: GkmClass) -> dict[str, str]:
-    return {
-        "".join(str(v) for v in w): poly.pretty()
-        for w, poly in sorted(c.values.items())
-    }
+    return {one_line_str(w): poly.pretty() for w, poly in sorted(c.values.items())}
 
 
 def _diff(expected, actual) -> str:

@@ -165,31 +165,10 @@ def y_forms(h: HessenbergFunction) -> tuple[YForm, ...]:
     return tuple(y_form(h, name) for name, ok in matches if ok)
 
 
-@dataclass(frozen=True)
-class PosetPh:
-    """The natural-unit-interval order P_h on [n]: i <_P j exactly when
-    h(i) < j.  h is the whole order; nothing else is stored."""
-
-    h: HessenbergFunction
-
-    @property
-    def n(self) -> int:
-        return self.h.n
-
-    def less(self, i: int, j: int) -> bool:
-        return self.h(i) < j
-
-    def incomparable(self, i: int, j: int) -> bool:
-        return i != j and not self.less(i, j) and not self.less(j, i)
-
-
-def poset_of(h: HessenbergFunction) -> PosetPh:
-    return PosetPh(h)
-
-
 def incomparable_pairs(h: HessenbergFunction) -> Iterator[tuple[int, int]]:
-    """The pairs i < j <= h(i): exactly the incomparable pairs of P_h, since
-    h is weakly increasing and h(i) >= i.  Ordered by i, then j."""
+    """The incomparable pairs of P_h, the order on [n] with i <_P j exactly
+    when h(i) < j: the pairs i < j <= h(i), since h is weakly increasing and
+    h(i) >= i.  Ordered by i, then j."""
     for i, hi in enumerate(h.values, start=1):
         for j in range(i + 1, hi + 1):
             yield i, j
@@ -203,10 +182,9 @@ class IncGraph:
     edges: frozenset[tuple[int, int]]
 
 
-def inc_graph(p: PosetPh | HessenbergFunction) -> IncGraph:
+def inc_graph(h: HessenbergFunction) -> IncGraph:
     """Incomparability graph of P_h: {i < j} is an edge iff j <= h(i), that
     is, iff neither i <_P j nor j <_P i (i <_P j exactly when h(i) < j)."""
-    h = p.h if isinstance(p, PosetPh) else p
     return IncGraph(h.n, frozenset(incomparable_pairs(h)))
 
 

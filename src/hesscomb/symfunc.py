@@ -11,6 +11,7 @@ e_mu = omega(h_mu).  K is unitriangular, so no step leaves the integers.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -134,50 +135,53 @@ class SymFn:
 # --- basis changes through the Kostka matrix --------------------------------
 
 
-def _kostka(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard tableaux of shape lam and content mu."""
-    shape = lam.parts
-    content = list(mu.parts) + [0] * (lam.size - len(mu.parts))
-    nrows = len(shape)
-    grid = [[0] * length for length in shape]
-    remaining = list(content)
-    count = 0
+def _horizontal_strips(shape: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
+    """Every shape made from `shape` by adding a horizontal strip of m boxes.
 
-    def fill(r: int, c: int) -> None:
-        nonlocal count
-        if r == nrows:
-            count += 1
+    No two added boxes share a column exactly when row i grows by at most
+    shape[i-1] - shape[i]; the first row grows without bound, and one new row
+    by at most the last one's length."""
+    rows = shape + (0,)
+
+    def rec(i: int, left: int) -> Iterator[tuple[int, ...]]:
+        if i == len(rows):
+            if not left:
+                yield ()
             return
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = grid[r][c - 1]
-        if r > 0 and c < shape[r - 1]:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                grid[r][c] = v
-                fill(nr, nc)
-                remaining[v - 1] += 1
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for grow in range(room + 1):
+            for rest in rec(i + 1, left - grow):
+                yield (rows[i] + grow,) + rest
 
-    fill(0, 0)
-    return count
+    for nu in rec(0, m):
+        yield nu if nu[-1] else nu[:-1]
 
 
 @cache
 def _kostka_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """K[i][j] = K_(lam, mu) for lam, mu the i-th and j-th of partitions_of(n).
 
+    By Pieri's rule, K_(lam, mu) counts the chains from the empty shape to lam
+    that add a horizontal strip of mu_1 boxes, then of mu_2, and so on: a
+    semistandard tableau's entries equal to i form the i-th strip.  Column j
+    follows all chains for mu at once, as {shape: number of chains}.
+
     K_(lam, mu) is nonzero only when lam dominates mu, and K_(lam, lam) = 1;
     partitions_of lists partitions in an order extending dominance, so K is
     upper unitriangular.
     """
     parts = partitions_of(n)
-    return tuple(
-        tuple(_kostka(lam, mu) if i <= j else 0 for j, mu in enumerate(parts))
-        for i, lam in enumerate(parts)
-    )
+    columns = []
+    for mu in parts:
+        chains = {(): 1}
+        for m in mu.parts:
+            grown: dict[tuple[int, ...], int] = {}
+            for shape, count in chains.items():
+                for nu in _horizontal_strips(shape, m):
+                    grown[nu] = grown.get(nu, 0) + count
+            chains = grown
+        columns.append([chains.get(lam.parts, 0) for lam in parts])
+    return tuple(zip(*columns))
 
 
 def _mul(a, x: list[QPolynomial]) -> list[QPolynomial]:

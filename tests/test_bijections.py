@@ -309,6 +309,13 @@ def test_b1_rejects_foreign_monomials():
         phi_b1(h, XYMonomial((0, 0, 0), 2))
 
 
+def test_b3_is_empty_when_h1_is_n():
+    h = new_hessenberg([3, 3, 3])
+    e = XYElement(3, {XYMonomial((0, 0, 0), 2): 1, XYMonomial((0, 0, 0), 1): -1})
+    with pytest.raises(NotInBasis, match=r"B3 is empty when h\(1\) = n = 3"):
+        phi_b3(h, e)
+
+
 def test_b3_rejects_foreign_elements():
     h = one_row(4, 2)
     good_x = (0, 0, 1, 0)

@@ -346,12 +346,29 @@ def test_command_line_errors_are_json(capsys):
         ["bijection", "--h", "2,3,3", "--map", "b3", "--round-trip", "--k", "2"],
         ["bijection", "--h", "2,3,3", "--map", "b1", "--tableau", "[[1],[2],[3]]", "--trace"],
         ["bijection", "--h", "2,3,3", "--map", "b1", "--monomial", "0,0,0", "--tableau", "[[1],[2],[3]]"],
+        # gkm and basis take one mode per call: --dump-class or --relations,
+        # --variant only with --dump-class, --which or --blocks
+        ["gkm", "--h", "2,3,3", "--relations", "--dump-class", "x2"],
+        ["gkm", "--h", "2,3,3", "--dump-class", "x2", "--relations"],
+        ["gkm", "--h", "2,3,3", "--variant", "transpose"],
+        ["gkm", "--h", "2,3,3", "--variant", "auto"],
+        ["gkm", "--h", "2,3,3", "--relations", "--variant", "one-row"],
+        ["basis", "--h", "2,3,3", "--blocks", "--which", "B2"],
+        ["basis", "--h", "2,3,3", "--which", "B1", "--blocks"],
     ):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv
         assert json.loads(captured.out)["error"]["type"] == "HesscombError"
         assert captured.err == ""
+
+
+def test_b3_monomial_names_the_empty_basis(capsys):
+    code, data = run_json(
+        capsys, ["bijection", "--h", "3,3,3", "--map", "b3", "--monomial", "0,0,0", "--k", "2"]
+    )
+    assert code == 2
+    assert data["error"] == {"type": "NotInBasis", "message": "B3 is empty when h(1) = n = 3"}
 
 
 def test_help_still_exits_zero(capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from hesscomb.errors import KeyNotFound
-from hesscomb.goldens import GoldenResult, golden_store, lookup, verify_all
+from hesscomb.goldens import _GOLDENS, GoldenResult, lookup, verify_all
 
 EXPECTED_KEYS = [
     "fig2a",
@@ -28,7 +28,9 @@ def test_verify_all_passes():
 
 
 def test_store_has_expected_keys():
-    assert sorted(golden_store()) == sorted(EXPECTED_KEYS)
+    assert sorted(_GOLDENS) == sorted(EXPECTED_KEYS)
+    for key in EXPECTED_KEYS:
+        assert lookup(key)["h"]
 
 
 def test_lookup_class_golden():
@@ -56,7 +58,7 @@ def test_lookup_returns_copies():
     a = lookup("fig2a")
     a["values"]["123"] = "corrupted"
     assert lookup("fig2a")["values"]["123"] == "t2"
-    store = golden_store()
-    store["fig4"]["matrix"][0][0] = 99
-    assert golden_store()["fig4"]["matrix"][0][0] == 1
+    fig4 = lookup("fig4")
+    fig4["matrix"][0][0] = 99
+    assert lookup("fig4")["matrix"][0][0] == 1
     assert all(r.ok for r in verify_all())

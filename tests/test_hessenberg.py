@@ -20,10 +20,16 @@ from hesscomb import (
     inversions,
     new_hessenberg,
     partitions_of,
-    poset_of,
     transpose,
 )
-from hesscomb.hessenberg import YForm, _one_row_h1, _transpose_m, y_form, y_forms
+from hesscomb.hessenberg import (
+    YForm,
+    _one_row_h1,
+    _transpose_m,
+    incomparable_pairs,
+    y_form,
+    y_forms,
+)
 
 
 def test_new_hessenberg_accepts_valid():
@@ -97,11 +103,10 @@ def test_classify_transpose_of_one_row():
                 assert flipped.transpose_m == tag.one_row_h1
 
 
-def relations(p):
-    """The relation set of a poset, read through less."""
-    return frozenset(
-        (i, j) for i in range(1, p.n + 1) for j in range(1, p.n + 1) if p.less(i, j)
-    )
+def relations(h):
+    """The relation set of P_h as incomparable_pairs gives it: every i < j it
+    leaves out (i <_P j needs i < j, since h(i) >= i)."""
+    return frozenset(combinations(range(1, h.n + 1), 2)) - set(incomparable_pairs(h))
 
 
 def oracle_relations(h):
@@ -138,24 +143,18 @@ def test_y_form_descriptors():
 
 
 def test_poset_examples():
-    assert relations(poset_of(new_hessenberg([2, 3, 3]))) == frozenset({(1, 3)})
-    assert relations(poset_of(new_hessenberg([3, 3, 3]))) == frozenset()
-    assert relations(poset_of(new_hessenberg([4, 5, 5, 5, 5]))) == frozenset({(1, 5)})
+    assert relations(new_hessenberg([2, 3, 3])) == frozenset({(1, 3)})
+    assert relations(new_hessenberg([3, 3, 3])) == frozenset()
+    assert relations(new_hessenberg([4, 5, 5, 5, 5])) == frozenset({(1, 5)})
 
 
 def test_order_matches_relation_set_oracle():
     for n in range(1, 8):
         for h in all_hessenberg_functions(n):
-            p = poset_of(h)
-            rels = oracle_relations(h)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    assert p.less(i, j) == ((i, j) in rels)
-                    incomparable = i != j and (i, j) not in rels and (j, i) not in rels
-                    assert p.incomparable(i, j) == incomparable
+            assert relations(h) == oracle_relations(h)
             edges = oracle_inc_edges(h)
+            assert list(incomparable_pairs(h)) == sorted(edges)
             assert inc_graph(h) == IncGraph(n, edges)
-            assert inc_graph(p) == IncGraph(n, edges)
 
 
 def test_inversions_match_relation_set_oracle():
@@ -179,7 +178,7 @@ def test_inversions_match_relation_set_oracle():
 def test_poset_is_transitively_closed_and_irreflexive():
     for n in range(1, 7):
         for h in all_hessenberg_functions(n):
-            rel = relations(poset_of(h))
+            rel = relations(h)
             for i, j in rel:
                 assert i != j
                 for k, l in rel:
@@ -190,7 +189,7 @@ def test_poset_is_transitively_closed_and_irreflexive():
 def test_poset_empty_iff_full_function():
     for n in range(1, 7):
         for h in all_hessenberg_functions(n):
-            empty = not relations(poset_of(h))
+            empty = not relations(h)
             assert empty == (h.values == tuple([n] * n))
 
 
@@ -207,8 +206,7 @@ def test_inc_graph_examples():
 def test_inc_graph_edge_count_complements_poset():
     for n in range(1, 7):
         for h in all_hessenberg_functions(n):
-            p = poset_of(h)
-            assert len(inc_graph(p).edges) == n * (n - 1) // 2 - len(relations(p))
+            assert len(inc_graph(h).edges) == n * (n - 1) // 2 - len(oracle_relations(h))
 
 
 def test_box_counts_examples():

@@ -38,6 +38,8 @@ from hesscomb import (
 )
 from hesscomb import tableaux
 from hesscomb.linalg import fraction_solve
+from hesscomb.symfunc import _horizontal_strips, _kostka_matrix
+from kostka_oracle import kostka
 
 BASES = ("monomial", "schur", "elementary", "homogeneous")
 
@@ -130,6 +132,21 @@ def test_change_basis_round_trips():
         g = change_basis(f, b1)
         for b2 in ("schur", "elementary", "homogeneous", "monomial"):
             assert change_basis(change_basis(g, b2), b1) == g
+
+
+def test_kostka_matrix_matches_tableau_count():
+    for n in range(1, 9):
+        parts = partitions_of(n)
+        assert _kostka_matrix(n) == tuple(
+            tuple(kostka(lam, mu) for mu in parts) for lam in parts
+        )
+
+
+def test_horizontal_strips_examples():
+    assert sorted(_horizontal_strips((), 2)) == [(2,)]
+    assert sorted(_horizontal_strips((2, 1), 2)) == [(2, 2, 1), (3, 1, 1), (3, 2), (4, 1)]
+    # The second row is as long as the first, so it cannot grow.
+    assert sorted(_horizontal_strips((2, 2), 3)) == [(3, 2, 2), (4, 2, 1), (5, 2)]
 
 
 # --- reference route for change_basis -----------------------------------------
