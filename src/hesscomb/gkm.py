@@ -5,8 +5,11 @@ j < i <= h(j), and a class assigns an integer polynomial in t_1..t_n to every
 vertex subject to the divisibility condition along edges.  Ranks of the
 quotient by the positive-degree t-ideal are computed with exact integer
 elimination, one q-degree at a time: the t-ideal in degree d is
-t_1, ..., t_n times the span in degree d - 1, and the span adds the x^b and
-x^b y_k rows to it.
+t_1, ..., t_n times the span in degree d - 1, and the span adds to it the
+generators of degree d.  For the special forms the x and y classes generate
+the class ring over Z[t], so the generators of degree d are x_k times the
+generators of degree d - 1 that raised the rank, plus y_1, ..., y_n in the
+degree of the y classes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from operator import add
 
 from .errors import FormMismatch, KOutOfRange, OddDegree, OutOfRange, ShapeMismatch
 from .hessenberg import (
@@ -394,21 +396,36 @@ class _Degree:
 class _RankChain:
     """The q-degrees of one special-form h, built in order.  A row is a class
     over the columns (degree-d t-monomial, vertex), t-monomial-major, so t_i
-    times a row moves each column to the monomial with one more t_i."""
+    times a row moves each column to the monomial with one more t_i, and x_k
+    times a row moves the column at vertex w to the one with one more t_{w(k)}.
+
+    The span in degree d is the t-ideal plus the generator rows of degree d:
+    x_k times each generator row of degree d - 1 that raised the rank, and
+    y_1, ..., y_n in degree ydeg.  That spans every x^b and x^b y_k row,
+    because x_k maps the t-ideal of degree d - 1 into the one of degree d.
+    So degree d tries at most n * rank(d - 1) + n generator rows, not one
+    per monomial."""
 
     def __init__(self, h: HessenbergFunction):
         form = _generator_form(h)
         self.n = h.n
         self.ydeg = len(form.factors)
-        self.vidx = {w: i for i, w in enumerate(all_permutations(h.n))}
+        perms = all_permutations(h.n)
+        self.vidx = {w: i for i, w in enumerate(perms)}
+        # Per k, the index i with x_k = t_{i+1} at each vertex.
+        self.xvar = [[w[k] - 1 for w in perms] for k in range(h.n)]
         # The support of each y_k, with the terms of its value at each vertex.
         self.yterms = [
             [(w, p.terms.items()) for w, p in _class_y(h, k, form).values.items() if p]
             for k in range(1, h.n + 1)
         ]
-        self.ones = [(w, [((0,) * h.n, 1)]) for w in self.vidx]
         self.degrees: list[_Degree] = []
         self.span = IntEchelon()  # the span in the last degree built
+        # The generator rows to multiply by x_1..x_n for the next degree: those
+        # that raised the rank in the last degree built, pure x classes and
+        # y multiples apart.  Degree 0 starts from the class 1.
+        self.xgens = [dict.fromkeys(range(len(perms)), 1)]
+        self.ygens: list[dict[int, int]] = []
 
     def degree(self, d: int) -> _Degree:
         while len(self.degrees) <= d:
@@ -419,41 +436,40 @@ class _RankChain:
         d, n, nverts = len(self.degrees), self.n, len(self.vidx)
         midx = {mon: i for i, mon in enumerate(_compositions(d, n))}
         tideal = IntEchelon()
+        xcands, ycands = self.xgens, self.ygens
         if d:
             below = _compositions(d - 1, n)
-            for i in range(n):
-                # The column offset from each monomial below to t_i times it.
-                shift = [(midx[a[:i] + (a[i] + 1,) + a[i + 1:]] - j) * nverts
-                         for j, a in enumerate(below)]
+            # Per i, the column offset from each monomial below to t_i times it.
+            shifts = [[(midx[a[:i] + (a[i] + 1,) + a[i + 1:]] - j) * nverts
+                       for j, a in enumerate(below)] for i in range(n)]
+            for shift in shifts:
                 for row in self.span.pivots.values():
                     tideal.insert({c + shift[c // nverts]: v for c, v in row.items()})
+            xcands = [self._times_x(shifts, k, row) for row in xcands for k in range(n)]
+            ycands = [self._times_x(shifts, k, row) for row in ycands for k in range(n)]
+        if d == self.ydeg:
+            ycands = ycands + [self._row(midx, supp) for supp in self.yterms]
 
-        # The fixed part is spanned by the t-ideal and the x^b rows alone: the
+        # The fixed part is spanned by the t-ideal and the x rows alone: the
         # sum of the y_k is prod (x_pin - x_l), a polynomial in the x classes.
-        # The quotient adds one y row per k on top of them.
+        # The quotient adds the y rows on top of them.
         span = tideal.clone()
-        rank = fixed = sum(span.insert(self._row(midx, self.ones, b))
-                           for b in _compositions(d, n))
-        if d >= self.ydeg:
-            for b in _compositions(d - self.ydeg, n):
-                for supp in self.yterms:
-                    rank += span.insert(self._row(midx, supp, b))
+        self.xgens = [row for row in xcands if span.insert(row)]
+        self.ygens = [row for row in ycands if span.insert(row)]
+        fixed = len(self.xgens)
         self.span = span
-        self.degrees.append(_Degree(midx, tideal, rank, fixed))
+        self.degrees.append(_Degree(midx, tideal, fixed + len(self.ygens), fixed))
 
-    def _row(self, midx, supp, b: tuple[int, ...]) -> dict[int, int]:
-        """x^b times the class whose nonzero values supp lists, as a row."""
+    def _times_x(self, shifts, k: int, row: dict[int, int]) -> dict[int, int]:
+        """x_{k+1} times a row of the degree below."""
+        xk, nverts = self.xvar[k], len(self.vidx)
+        return {c + shifts[xk[c % nverts]][c // nverts]: v for c, v in row.items()}
+
+    def _row(self, midx, supp) -> dict[int, int]:
+        """The class whose nonzero values supp lists, as a row."""
         nverts = len(self.vidx)
-        row: dict[int, int] = {}
-        for w, terms in supp:
-            base = [0] * self.n
-            for pos, e in enumerate(b):
-                base[w[pos] - 1] += e
-            v = self.vidx[w]
-            for exps, coeff in terms:
-                col = midx[tuple(map(add, base, exps))] * nverts + v
-                row[col] = row.get(col, 0) + coeff
-        return row
+        return {midx[exps] * nverts + self.vidx[w]: coeff
+                for w, terms in supp for exps, coeff in terms}
 
 
 # One chain per h, for the few most recent h: a long-lived process asking

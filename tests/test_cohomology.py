@@ -13,6 +13,7 @@ import random
 
 import pytest
 from fracspan import FracSpan
+from smith import smith_invariants
 
 from hesscomb.cohomology import (
     TransitionBlock,
@@ -552,6 +553,23 @@ def test_transition_determinant_law():
                 g = groups.get(b.degree // 2, 0)
                 assert abs(b.determinant()) == n**g
                 assert check_unimodular(b) == (g == 0)
+
+
+def test_smith_invariants_example():
+    assert smith_invariants([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+    assert smith_invariants([[0, 0], [0, 3]]) == [3]
+
+
+def test_transition_block_cokernels():
+    # Finer than |det| = n^g: each block's cokernel is (Z/n)^g.
+    for n in range(2, 7):
+        for h1 in range(1, n):
+            h = one_row(n, h1)
+            groups = b3_group_counts(h)
+            for b in transition_blocks(h):
+                g = groups.get(b.degree // 2, 0)
+                assert smith_invariants(b.matrix) == [1] * (b.size - g) + [n] * g, (
+                    n, h1, b.degree)
 
 
 def test_transpose_blocks_mirror_one_row_blocks():

@@ -42,6 +42,7 @@ from hesscomb import gkm
 from hesscomb.gkm import compose, inverse_perm
 from hesscomb.hessenberg import y_forms
 from hesscomb.intpoly import product
+from hesscomb.linalg import IntEchelon
 
 
 def one_row(n, h1):
@@ -299,11 +300,26 @@ def test_graded_quotient_rank_examples():
         graded_quotient_rank(H233, 3)
 
 
+def _check_betti_numbers(h):
+    betti = betti_numbers(h)
+    assert betti == tuple(via_ptableaux(h).coefficient(d) for d in range(len(betti)))
+    assert sum(betti) == math.factorial(h.n), h.values
+
+
+def _check_sn_fixed_ranks(h):
+    """sn_fixed_rank against the per-degree census of basis_nilpotent."""
+    census = {}
+    for e in basis_nilpotent(h).elements:
+        (m,) = e.terms.keys()
+        census[2 * m.qdegree(0)] = census.get(2 * m.qdegree(0), 0) + 1
+    top = 2 * sum(box_counts(h))
+    for d in range(0, top + 2, 2):
+        assert sn_fixed_rank(h, d) == census.get(d, 0), (h.values, d)
+
+
 def test_betti_numbers_match_ptableau_route():
     for h in special_forms(4):
-        betti = betti_numbers(h)
-        assert betti == tuple(via_ptableaux(h).coefficient(d) for d in range(len(betti)))
-        assert sum(betti) == math.factorial(h.n), h.values
+        _check_betti_numbers(h)
 
 
 def test_sn_fixed_rank_examples():
@@ -314,14 +330,48 @@ def test_sn_fixed_rank_examples():
 
 def test_sn_fixed_rank_matches_nilpotent_census():
     for h in special_forms(4):
-        basis = basis_nilpotent(h)
-        census = {}
-        for e in basis.elements:
-            (m,) = e.terms.keys()
-            census[2 * m.qdegree(0)] = census.get(2 * m.qdegree(0), 0) + 1
-        top = 2 * sum(box_counts(h))
-        for d in range(0, top + 2, 2):
-            assert sn_fixed_rank(h, d) == census.get(d, 0), (h.values, d)
+        _check_sn_fixed_ranks(h)
+
+
+# The transpose shapes (4,4,4,5,5) and (4,4,5,5,5) are left out: their chains
+# take a minute or more, most of it in the t-ideal step.
+@pytest.mark.long
+@pytest.mark.parametrize("h", [new_hessenberg(list(values)) for values in (
+    (1, 5, 5, 5, 5), (2, 5, 5, 5, 5), (3, 5, 5, 5, 5),
+    (4, 4, 4, 4, 5), (4, 5, 5, 5, 5), (5, 5, 5, 5, 5),
+)], ids=str)
+def test_ranks_n5_match_ptableaux_and_nilpotent_census(h):
+    try:
+        _check_betti_numbers(h)
+        _check_sn_fixed_ranks(h)
+    finally:
+        # An n = 5 chain holds hundreds of MB; keep one alive at a time.
+        gkm._rank_chain.cache_clear()
+
+
+@pytest.mark.parametrize("h", [new_hessenberg([2, 4, 4, 4]), new_hessenberg([4, 4, 4, 4])],
+                         ids=str)
+def test_generator_rows_tried_follow_from_the_rank_below(monkeypatch, h):
+    # Degree d tries x_1..x_n times each generator row that raised the rank
+    # in degree d - 1, and y_1..y_n once: at most n * rank(d - 1) + n rows.
+    # A row per monomial x^b and x^b y_k would try C(d + n - 1, n - 1) (n + 1).
+    inserted = []
+    real_insert = IntEchelon.insert
+
+    def counting_insert(self, entries):
+        inserted.append(self)
+        return real_insert(self, entries)
+
+    monkeypatch.setattr(IntEchelon, "insert", counting_insert)
+    chain = gkm._RankChain(h)
+    n, below = h.n, 0
+    for d in range(sum(box_counts(h)) + 2):
+        inserted.clear()
+        level = chain.degree(d)
+        generator_rows = sum(e is chain.span for e in inserted)
+        assert generator_rows + sum(e is level.tideal for e in inserted) == len(inserted)
+        assert generator_rows <= n * below + n, (d, generator_rows, below)
+        below = level.rank
 
 
 def test_in_t_ideal_symmetric_functions():
@@ -427,9 +477,17 @@ LARGEST = ((3, 4, 4, 4), (4, 4, 4, 4))
 def test_degree_chain_matches_t_monomial_oracle(h):
     rng = random.Random(hash(h.values) % 10007)
     answers = []
+    chain = gkm._rank_chain(h)
     for d in range(sum(box_counts(h)) + 2):
         oracle = DegreeOracle(h, d)
         assert (graded_quotient_rank(h, 2 * d), sn_fixed_rank(h, 2 * d)) == oracle.ranks()
+        # The t-ideal as a space: the same rank, and each side contains the
+        # other's rows, on the same (t-monomial, vertex) columns.
+        level = chain.degree(d)
+        assert (level.midx, chain.vidx) == (oracle.midx, oracle.vidx)
+        assert level.tideal.rank == oracle.tideal.rank, (h.values, d)
+        assert all(oracle.tideal.contains(row) for row in level.tideal.pivots.values())
+        assert all(level.tideal.contains(row) for row in oracle.tideal.pivots.values())
         for c in _degree_classes(h, d, oracle.ydeg, rng):
             answers.append(in_t_ideal(c, h))
             assert answers[-1] == oracle.in_t_ideal(c), (h.values, d)
