@@ -4,6 +4,10 @@ Every subcommand prints a single machine-readable document (JSON by default)
 with canonical ordering, so output is byte-stable for fixed inputs.  Errors
 are reported as a JSON error object with exit code 2 (validation) and
 verification mismatches exit with code 3.
+
+Each answer is an exact function of the parsed request, so within one
+process a repeated request is printed from a cache of answers bounded by the
+bytes of text it holds.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import OrderedDict
 from functools import cache
 
 from . import goldens
@@ -35,7 +40,7 @@ from .cohomology import (
     basis_transpose,
     transition_blocks,
 )
-from .errors import GuardrailExceeded, HesscombError, UnsupportedFormat, checked_int
+from .errors import DegreeTooLarge, GuardrailExceeded, HesscombError, UnsupportedFormat, checked_int
 from .gkm import (
     build_gkm_graph,
     check_gkm_condition,
@@ -57,6 +62,16 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
 DEFAULT_MAX_N = 7
+
+# Bytes of answer text the answer cache may hold.
+_ANSWER_CACHE_BYTES = 16 * 2**20
+
+# The parsed options an answer depends on: the raw --h text, --max-n (a guard
+# already checked) and the subcommand alias are left out.
+_ANSWER_KEY = (
+    "run", "h", "shape", "fmt", "which", "blocks", "dump_class", "relations",
+    "variant", "map", "monomial", "tableau", "round_trip", "k", "trace",
+)
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -99,6 +114,9 @@ def _guard(h: HessenbergFunction, max_n: int) -> None:
 
 def _cmd_csf(args) -> tuple[str, int]:
     h = args.h
+    # The basis changes would refuse this degree, but only after the 3^n DP.
+    if h.n > DEGREE_BOUND:
+        raise DegreeTooLarge(f"degree {h.n} exceeds bound {DEGREE_BOUND}")
     f = csf_by_coloring(inc_graph(h))
     schur = change_basis(f, "schur")
     if args.fmt == "latex":
@@ -428,10 +446,57 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
+class _AnswerCache:
+    """Answers, (text, exit code), by request key, least recently used first.
+    The text held stays within _ANSWER_CACHE_BYTES: a new answer evicts the
+    oldest ones until it fits, and one larger than the budget is not kept."""
+
+    def __init__(self):
+        self._entries: OrderedDict[tuple, tuple[str, int]] = OrderedDict()
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> tuple[str, int] | None:
+        answer = self._entries.get(key)
+        if answer is not None:
+            self._entries.move_to_end(key)
+        return answer
+
+    def put(self, key: tuple, answer: tuple[str, int]) -> None:
+        size = sys.getsizeof(answer[0])
+        if size > _ANSWER_CACHE_BYTES:
+            return
+        while self.nbytes + size > _ANSWER_CACHE_BYTES:
+            _, (old, _) = self._entries.popitem(last=False)
+            self.nbytes -= sys.getsizeof(old)
+        self._entries[key] = answer
+        self.nbytes += size
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+_answers = _AnswerCache()
+
+
+def _answer(args: argparse.Namespace) -> tuple[str, int]:
+    """The request's answer, from the cache or computed and then kept; an
+    error propagates before anything is kept."""
+    key = tuple(getattr(args, name, None) for name in _ANSWER_KEY)
+    answer = _answers.get(key)
+    if answer is None:
+        answer = args.run(args)
+        _answers.put(key, answer)
+    return answer
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
-        out, code = args.run(args)
+        out, code = _answer(args)
     except HesscombError as exc:
         _emit(_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return EXIT_VALIDATION

@@ -24,6 +24,12 @@ from hesscomb.qpoly import QPolynomial
 POINCARE_233 = '{"h": [2, 3, 3], "methods_agree": true, "poincare": [[0, 1], [1, 4], [2, 1]]}\n'
 
 
+@pytest.fixture(autouse=True)
+def empty_answer_cache():
+    # An answer kept by an earlier test would shadow a monkeypatched library.
+    cli._answers.clear()
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -461,12 +467,168 @@ def test_round_trip_fails_on_an_image_that_is_not_a_p_tableau(capsys, monkeypatc
 
 
 def test_output_is_byte_stable(capsys):
+    # the second call of each pair is answered from the cache; the third is
+    # recomputed after the cache is emptied
     _, first = run(capsys, ["csf", "--h", "2,3,4,4"])
     _, second = run(capsys, ["csf", "--h", "2,3,4,4"])
-    assert first == second
+    cli._answers.clear()
+    _, third = run(capsys, ["csf", "--h", "2,3,4,4"])
+    assert first == second == third
     _, g1 = run(capsys, ["gkm", "--h", "2,3,3"])
     _, g2 = run(capsys, ["gkm", "--h", "2,3,3"])
-    assert g1 == g2
+    cli._answers.clear()
+    _, g3 = run(capsys, ["gkm", "--h", "2,3,3"])
+    assert g1 == g2 == g3
+
+
+# --- answer cache --------------------------------------------------------------
+
+
+def counting(monkeypatch, name):
+    """Replace cli.<name> by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_repeated_request_calls_the_library_once(capsys, monkeypatch):
+    reconciles = counting(monkeypatch, "reconcile")
+    colorings = counting(monkeypatch, "csf_by_coloring")
+    for _ in range(3):
+        assert run(capsys, ["poincare", "--h", "2,3,3"]) == (0, POINCARE_233)
+        code, data = run_json(capsys, ["csf", "--h", "2,3,3"])
+        assert code == 0 and data["schur_positive"] is True
+    assert len(reconciles) == 1
+    assert len(colorings) == 1
+    run(capsys, ["csf", "--h", "2,3,3", "--format", "latex"])
+    assert len(colorings) == 2
+
+
+ONE_ARGV_PER_ANSWER = (
+    ["csf", "--h", "2,3,4,4"],
+    ["csf", "--h", "2,3,4,4", "--format", "latex"],
+    ["poincare", "--h", "2,3,3"],
+    ["poincare", "--h", "2,3,3", "--format", "latex"],
+    ["tableaux", "--h", "2,3,3", "--shape", "2,1"],
+    ["gkm", "--h", "2,3,3"],
+    ["gkm", "--h", "2,3,3", "--format", "dot"],
+    ["gkm", "--h", "2,3,3", "--dump-class", "y2", "--variant", "transpose"],
+    ["gkm", "--h", "2,3,3", "--relations"],
+    ["basis", "--h", "2,3,3", "--which", "B3"],
+    ["basis", "--h", "2,3,3", "--blocks"],
+    ["basis", "--h", "2,3,3", "--blocks", "--format", "csv"],
+    ["bijection", "--h", "2,3,5,5,5", "--map", "nilpotent", "--monomial", "1,0,1,1,0", "--trace"],
+    ["bijection", "--h", "3,5,5,5,5", "--map", "b3", "--monomial", "0,0,1,0,2", "--k", "2"],
+    ["bijection", "--h", "2,3,3", "--map", "b1", "--tableau", "[[3],[2],[1]]"],
+    ["bijection", "--h", "2,3,3", "--map", "b3", "--round-trip"],
+    ["verify-goldens"],
+)
+
+
+@pytest.mark.parametrize("argv", ONE_ARGV_PER_ANSWER, ids=" ".join)
+def test_a_hit_prints_what_the_miss_printed(capsys, argv):
+    miss = run(capsys, argv)
+    assert len(cli._answers) == 1
+    hit = run(capsys, argv)
+    assert hit == miss
+    assert miss[0] == 0
+
+
+def test_a_failed_verification_is_kept(capsys, monkeypatch):
+    monkeypatch.setattr(cli.goldens, "verify_all", lambda: [GoldenResult("fig2a", False, "x")])
+    failed = run(capsys, ["verify-goldens"])
+    assert failed[0] == 3
+    monkeypatch.undo()
+    assert run(capsys, ["verify-goldens"]) == failed
+
+
+def test_errors_are_not_kept(capsys, monkeypatch):
+    for argv in (
+        ["tableaux", "--h", "2,3,3", "--shape", "2,1,1"],
+        ["gkm", "--h", "2,3,4,4", "--relations"],
+        ["bijection", "--h", "3,5,5,5,5", "--map", "b3", "--monomial", "0,0,1,0,2"],
+        ["poincare", "--h", "2,3,3", "--max-n", "2"],
+    ):
+        code, data = run_json(capsys, argv)
+        assert code == 2 and "error" in data, argv
+    assert len(cli._answers) == 0 and cli._answers.nbytes == 0
+
+    def refuse(_h):
+        raise cli.HesscombError("refused")
+
+    monkeypatch.setattr(cli, "reconcile", refuse)
+    code, data = run_json(capsys, ["poincare", "--h", "2,3,3"])
+    assert code == 2 and data["error"]["message"] == "refused"
+    assert len(cli._answers) == 0
+    monkeypatch.undo()
+    assert run(capsys, ["poincare", "--h", "2,3,3"]) == (0, POINCARE_233)
+
+
+def test_spellings_of_one_request_share_an_entry(capsys, monkeypatch):
+    reconciles = counting(monkeypatch, "reconcile")
+    plain = run(capsys, ["poincare", "--h", "2,5,5,5,5"])
+    assert run(capsys, ["poincare", "--h", "2,05,5,5,5"]) == plain
+    assert run(capsys, ["poincare", "--h", "2,5,5,5,5", "--max-n", "7"]) == plain
+    assert run(capsys, ["poincare", "--max-n", "5", "--h", "2,5,5,5,5"]) == plain
+    assert len(reconciles) == 1
+    assert len(cli._answers) == 1
+    verifications = []
+    verify_all = cli.goldens.verify_all
+    monkeypatch.setattr(cli.goldens, "verify_all", lambda: verifications.append(1) or verify_all())
+    direct = run(capsys, ["verify-goldens"])
+    assert run(capsys, ["verify-paper"]) == direct
+    assert len(verifications) == 1
+    assert len(cli._answers) == 2
+
+
+def test_answer_cache_stays_within_its_byte_budget(capsys, monkeypatch):
+    reconciles = counting(monkeypatch, "reconcile")
+    a, b, c = (["poincare", "--h", h] for h in ("2,3,3", "2,3,4,4", "3,4,5,5,5"))
+    sizes = {}
+    for argv in (a, b, c):
+        cli._answers.clear()
+        run(capsys, argv)
+        sizes[argv[2]] = cli._answers.nbytes
+    sa, sb, sc = sizes.values()
+    budget = max(sa + sb, sa + sc)
+    assert budget < sa + sb + sc
+    monkeypatch.setattr(cli, "_ANSWER_CACHE_BYTES", budget)
+    cli._answers.clear()
+    del reconciles[:]
+    for argv in (a, b, a, c):
+        run(capsys, argv)
+        assert cli._answers.nbytes <= budget
+    # a was used after b, so c evicted b, the least recently used
+    assert len(reconciles) == 3 and len(cli._answers) == 2
+    run(capsys, a)
+    run(capsys, c)
+    assert len(reconciles) == 3
+    run(capsys, b)
+    assert len(reconciles) == 4
+    assert cli._answers.nbytes <= budget
+
+    monkeypatch.setattr(cli, "_ANSWER_CACHE_BYTES", sa - 1)
+    cli._answers.clear()
+    assert run(capsys, a) == (0, POINCARE_233)
+    assert len(cli._answers) == 0 and cli._answers.nbytes == 0
+    assert run(capsys, a) == (0, POINCARE_233)
+    assert len(reconciles) == 6
+
+
+def test_csf_refuses_a_degree_above_the_bound_before_the_coloring_sum(capsys, monkeypatch):
+    def no_coloring_sum(_graph):
+        pytest.fail("csf ran the coloring sum for a degree it must refuse")
+
+    monkeypatch.setattr(cli, "csf_by_coloring", no_coloring_sum)
+    code, data = run_json(capsys, ["csf", "--h", "2,3,4,5,6,7,8,9,9", "--max-n", "9"])
+    assert code == 2
+    assert data["error"] == {"type": "DegreeTooLarge", "message": "degree 9 exceeds bound 8"}
 
 
 def test_module_entry_point():
