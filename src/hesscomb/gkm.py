@@ -9,7 +9,10 @@ t_1, ..., t_n times the span in degree d - 1, and the span adds to it the
 generators of degree d.  For the special forms the x and y classes generate
 the class ring over Z[t], so the generators of degree d are x_k times the
 generators of degree d - 1 that raised the rank, plus y_1, ..., y_n in the
-degree of the y classes.
+degree of the y classes.  A transpose-only h has no chain of its own: the
+mirror w -> w0 w w0, t_a -> t_{n+1-a} carries its moment graph onto that of
+its one-row transpose, so it reads the ranks and the t-ideal of that chain.
+Above the top degree (the complex dimension) the ranks are 0.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .hessenberg import (
     box_counts,
     classify_form,
     incomparable_pairs,
+    transpose,
     y_form,
     y_forms,
 )
@@ -384,10 +388,10 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class _Degree:
-    """One q-degree d: the index of the degree-d t-monomials, the echelonized
-    t-ideal, and the quotient and fixed-subspace ranks."""
+    """One q-degree d: the first column of each degree-d t-monomial, the
+    echelonized t-ideal, and the quotient and fixed-subspace ranks."""
 
-    midx: dict[tuple[int, ...], int]
+    cols: dict[tuple[int, ...], int]
     tideal: IntEchelon
     rank: int
     fixed: int
@@ -409,6 +413,7 @@ class _RankChain:
     def __init__(self, h: HessenbergFunction):
         form = _generator_form(h)
         self.n = h.n
+        self.top = sum(box_counts(h))
         self.ydeg = len(form.factors)
         perms = all_permutations(h.n)
         self.vidx = {w: i for i, w in enumerate(perms)}
@@ -432,23 +437,26 @@ class _RankChain:
             self._grow()
         return self.degrees[d]
 
+    def columns(self, d: int) -> dict[tuple[int, ...], int]:
+        """The first column of each degree-d t-monomial."""
+        return self.degree(d).cols
+
     def _grow(self) -> None:
         d, n, nverts = len(self.degrees), self.n, len(self.vidx)
-        midx = {mon: i for i, mon in enumerate(_compositions(d, n))}
+        cols = {mon: i * nverts for i, mon in enumerate(_compositions(d, n))}
         tideal = IntEchelon()
         xcands, ycands = self.xgens, self.ygens
         if d:
-            below = _compositions(d - 1, n)
             # Per i, the column offset from each monomial below to t_i times it.
-            shifts = [[(midx[a[:i] + (a[i] + 1,) + a[i + 1:]] - j) * nverts
-                       for j, a in enumerate(below)] for i in range(n)]
+            shifts = [[cols[a[:i] + (a[i] + 1,) + a[i + 1:]] - col
+                       for a, col in self.degrees[-1].cols.items()] for i in range(n)]
             for shift in shifts:
                 for row in self.span.pivots.values():
                     tideal.insert({c + shift[c // nverts]: v for c, v in row.items()})
             xcands = [self._times_x(shifts, k, row) for row in xcands for k in range(n)]
             ycands = [self._times_x(shifts, k, row) for row in ycands for k in range(n)]
         if d == self.ydeg:
-            ycands = ycands + [self._row(midx, supp) for supp in self.yterms]
+            ycands = ycands + [self._row(cols, supp) for supp in self.yterms]
 
         # The fixed part is spanned by the t-ideal and the x rows alone: the
         # sum of the y_k is prod (x_pin - x_l), a polynomial in the x classes.
@@ -458,24 +466,84 @@ class _RankChain:
         self.ygens = [row for row in ycands if span.insert(row)]
         fixed = len(self.xgens)
         self.span = span
-        self.degrees.append(_Degree(midx, tideal, fixed + len(self.ygens), fixed))
+        self.degrees.append(_Degree(cols, tideal, fixed + len(self.ygens), fixed))
 
     def _times_x(self, shifts, k: int, row: dict[int, int]) -> dict[int, int]:
         """x_{k+1} times a row of the degree below."""
         xk, nverts = self.xvar[k], len(self.vidx)
         return {c + shifts[xk[c % nverts]][c // nverts]: v for c, v in row.items()}
 
-    def _row(self, midx, supp) -> dict[int, int]:
+    def _row(self, cols, supp) -> dict[int, int]:
         """The class whose nonzero values supp lists, as a row."""
-        nverts = len(self.vidx)
-        return {midx[exps] * nverts + self.vidx[w]: coeff
+        return {cols[exps] + self.vidx[w]: coeff
                 for w, terms in supp for exps, coeff in terms}
 
 
-# One chain per h, for the few most recent h: a long-lived process asking
-# about many h keeps only these.
+def _mirror(w: Perm) -> Perm:
+    """w0 w w0: the value n + 1 - w(n + 1 - p) at each position p."""
+    n = len(w)
+    return tuple(n + 1 - v for v in reversed(w))
+
+
+class _MirroredChain:
+    """A transpose-only h read off the chain of its one-row transpose.
+
+    w -> w0 w w0 with t_a -> t_{n+1-a} maps the moment graph of h onto that
+    of transpose(h), each edge label to minus a label, x_k to x_{n+1-k} and
+    the transpose-form y_k to the one-row y_{n+1-k}.  So the two class rings,
+    their t-ideals and their x-subrings correspond degree by degree, and a
+    class of h is a row of the one-row chain once its vertices are mirrored
+    and each t-monomial's exponents reversed."""
+
+    def __init__(self, chain: _RankChain):
+        self.chain = chain
+        self.top = chain.top
+        self.vidx = {w: chain.vidx[_mirror(w)] for w in chain.vidx}
+        self._cols: dict[int, dict[tuple[int, ...], int]] = {}
+
+    def degree(self, d: int) -> _Degree:
+        """The one-row chain's degree d: its ranks and t-ideal are those of
+        h, but its columns are indexed by unreversed t-monomials."""
+        return self.chain.degree(d)
+
+    def columns(self, d: int) -> dict[tuple[int, ...], int]:
+        """The first column of the reversal of each degree-d t-monomial."""
+        cols = self._cols.get(d)
+        if cols is None:
+            cols = self._cols[d] = {
+                mon[::-1]: col for mon, col in self.chain.columns(d).items()}
+        return cols
+
+
+def _chain_for(h: HessenbergFunction) -> _RankChain | _MirroredChain:
+    """The chain of h, or for a transpose-only h the mirror over the chain of
+    transpose(h); an h of both forms keeps its own one-row chain."""
+    tag = classify_form(h)
+    if tag.is_transpose and not tag.is_one_row:
+        return _MirroredChain(_rank_chain(transpose(h)))
+    return _RankChain(h)
+
+
+# One chain or mirror per h, for the few most recent h: a long-lived process
+# asking about many h keeps only these, and each keeps one chain alive.
 _CHAIN_CACHE_SIZE = 4
-_rank_chain = lru_cache(maxsize=_CHAIN_CACHE_SIZE)(_RankChain)
+_rank_chain = lru_cache(maxsize=_CHAIN_CACHE_SIZE)(_chain_for)
+
+
+def _t_ideal_contains(chain: _RankChain | _MirroredChain, c: GkmClass) -> bool:
+    """Membership of a homogeneous class in the chain's t-ideal.  The degree
+    is read from the first term; a term of any other degree has no column
+    there."""
+    d = next((sum(exps) for p in c.values.values() for exps in p.terms), None)
+    if d is None:
+        return True
+    cols, vidx = chain.columns(d), chain.vidx
+    try:
+        row = {cols[exps] + vidx[w]: coeff
+               for w, p in c.values.items() for exps, coeff in p.terms.items()}
+    except KeyError:
+        raise ShapeMismatch("t-ideal test needs a homogeneous class") from None
+    return chain.degree(d).tideal.contains(row)
 
 
 def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:
@@ -483,19 +551,7 @@ def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:
     generated by the x and y classes.  Requires a special-form h."""
     if c.n != h.n:
         raise ShapeMismatch(f"class on {c.n} variables, but h = {h} has n = {h.n}")
-    chain = _rank_chain(h)
-    degrees = {sum(exps) for p in c.values.values() for exps in p.terms}
-    if not degrees:
-        return True
-    if len(degrees) > 1:
-        raise ShapeMismatch("t-ideal test needs a homogeneous class")
-    level = chain.degree(degrees.pop())
-    nverts = len(chain.vidx)
-    return level.tideal.contains({
-        level.midx[exps] * nverts + chain.vidx[w]: coeff
-        for w, p in c.values.items()
-        for exps, coeff in p.terms.items()
-    })
+    return _t_ideal_contains(_rank_chain(h), c)
 
 
 def _checked_half_degree(degree_2d: int) -> int:
@@ -506,19 +562,27 @@ def _checked_half_degree(degree_2d: int) -> int:
     return degree_2d // 2
 
 
+def _level(h: HessenbergFunction, degree_2d: int) -> _Degree | None:
+    """The chain's q-degree d = degree_2d / 2, or None above the top degree
+    (the complex dimension), where H^{2d} vanishes."""
+    d = _checked_half_degree(degree_2d)
+    chain = _rank_chain(h)
+    return chain.degree(d) if d <= chain.top else None
+
+
 def graded_quotient_rank(h: HessenbergFunction, degree_2d: int) -> int:
     """Rank of the degree-2d part of the class algebra modulo (t_1, ..., t_n)."""
-    d = _checked_half_degree(degree_2d)
-    return _rank_chain(h).degree(d).rank
+    level = _level(h, degree_2d)
+    return level.rank if level else 0
 
 
 def sn_fixed_rank(h: HessenbergFunction, degree_2d: int) -> int:
     """Rank of the dot-action-invariant subspace of the same quotient."""
-    d = _checked_half_degree(degree_2d)
-    return _rank_chain(h).degree(d).fixed
+    level = _level(h, degree_2d)
+    return level.fixed if level else 0
 
 
 def betti_numbers(h: HessenbergFunction) -> tuple[int, ...]:
     """Quotient ranks for q-degrees 0 through the top (sum of box counts)."""
-    top = sum(box_counts(h))
-    return tuple(graded_quotient_rank(h, 2 * d) for d in range(top + 1))
+    chain = _rank_chain(h)
+    return tuple(chain.degree(d).rank for d in range(chain.top + 1))

@@ -13,6 +13,7 @@ from hesscomb import (
     IntPoly,
     KOutOfRange,
     OddDegree,
+    ShapeMismatch,
     XYMonomial,
     all_hessenberg_functions,
     all_permutations,
@@ -35,6 +36,7 @@ from hesscomb import (
     monomial_to_gkm,
     new_hessenberg,
     sn_fixed_rank,
+    transpose,
     verify_relations,
     via_ptableaux,
 )
@@ -333,12 +335,11 @@ def test_sn_fixed_rank_matches_nilpotent_census():
         _check_sn_fixed_ranks(h)
 
 
-# The transpose shapes (4,4,4,5,5) and (4,4,5,5,5) are left out: their chains
-# take a minute or more, most of it in the t-ideal step.
 @pytest.mark.long
 @pytest.mark.parametrize("h", [new_hessenberg(list(values)) for values in (
     (1, 5, 5, 5, 5), (2, 5, 5, 5, 5), (3, 5, 5, 5, 5),
-    (4, 4, 4, 4, 5), (4, 5, 5, 5, 5), (5, 5, 5, 5, 5),
+    (4, 4, 4, 4, 5), (4, 4, 4, 5, 5), (4, 4, 5, 5, 5),
+    (4, 5, 5, 5, 5), (5, 5, 5, 5, 5),
 )], ids=str)
 def test_ranks_n5_match_ptableaux_and_nilpotent_census(h):
     try:
@@ -372,6 +373,28 @@ def test_generator_rows_tried_follow_from_the_rank_below(monkeypatch, h):
         assert generator_rows + sum(e is level.tideal for e in inserted) == len(inserted)
         assert generator_rows <= n * below + n, (d, generator_rows, below)
         below = level.rank
+
+
+def test_ranks_above_the_top_degree_grow_no_chain():
+    # H^{2d} vanishes above the complex dimension, so the ranks there are 0
+    # and the chain stops at the top degree.
+    one_row, mirrored = new_hessenberg([2, 4, 4, 4]), new_hessenberg([3, 3, 4, 4])
+    top = sum(box_counts(one_row))
+    gkm._rank_chain.cache_clear()
+    for h in (one_row, mirrored):
+        betti_numbers(h)
+        assert graded_quotient_rank(h, 2 * (top + 5)) == 0
+        assert sn_fixed_rank(h, 2 * (top + 5)) == 0
+    # The two share the chain of (2,4,4,4).
+    assert gkm._rank_chain(mirrored).chain is gkm._rank_chain(one_row)
+    assert len(gkm._rank_chain(one_row).degrees) == top + 1
+
+
+def test_in_t_ideal_rejects_an_inhomogeneous_class():
+    for h in (new_hessenberg([2, 4, 4, 4]), new_hessenberg([3, 3, 4, 4])):
+        c = class_x(4, 1) + class_x(4, 2) * class_x(4, 3)
+        with pytest.raises(ShapeMismatch):
+            in_t_ideal(c, h)
 
 
 def test_in_t_ideal_symmetric_functions():
@@ -417,6 +440,7 @@ def test_form_mismatch_names_neither_form_on_general_h():
         lambda: in_t_ideal(class_x(4, 1), h),
         lambda: betti_numbers(h),
         lambda: sn_fixed_rank(h, 2),
+        lambda: graded_quotient_rank(h, 2 * (sum(box_counts(h)) + 5)),
     ]
     for call in calls:
         with pytest.raises(FormMismatch) as err:
@@ -475,23 +499,83 @@ LARGEST = ((3, 4, 4, 4), (4, 4, 4, 4))
     for h in special_forms(4)
 ])
 def test_degree_chain_matches_t_monomial_oracle(h):
+    # The chain is built on h itself; the public answers for a transpose-only
+    # h come from the mirrored chain of transpose(h).
     rng = random.Random(hash(h.values) % 10007)
     answers = []
-    chain = gkm._rank_chain(h)
+    chain = gkm._RankChain(h)
     for d in range(sum(box_counts(h)) + 2):
         oracle = DegreeOracle(h, d)
+        level = chain.degree(d)
+        assert (level.rank, level.fixed) == oracle.ranks(), (h.values, d)
         assert (graded_quotient_rank(h, 2 * d), sn_fixed_rank(h, 2 * d)) == oracle.ranks()
         # The t-ideal as a space: the same rank, and each side contains the
         # other's rows, on the same (t-monomial, vertex) columns.
-        level = chain.degree(d)
-        assert (level.midx, chain.vidx) == (oracle.midx, oracle.vidx)
+        nverts = len(oracle.vidx)
+        assert level.cols == {mon: i * nverts for mon, i in oracle.midx.items()}
+        assert chain.vidx == oracle.vidx
         assert level.tideal.rank == oracle.tideal.rank, (h.values, d)
         assert all(oracle.tideal.contains(row) for row in level.tideal.pivots.values())
         assert all(level.tideal.contains(row) for row in oracle.tideal.pivots.values())
         for c in _degree_classes(h, d, oracle.ydeg, rng):
-            answers.append(in_t_ideal(c, h))
-            assert answers[-1] == oracle.in_t_ideal(c), (h.values, d)
+            answers.append(oracle.in_t_ideal(c))
+            assert gkm._t_ideal_contains(chain, c) == answers[-1], (h.values, d)
+            assert in_t_ideal(c, h) == answers[-1], (h.values, d)
     assert any(answers) and not all(answers)
+
+
+# --- transpose-only h answered from the chain of transpose(h) -----------------
+
+
+def transpose_only(max_n):
+    return [h for h in special_forms(max_n) if not classify_form(h).is_one_row]
+
+
+def test_transpose_only_forms():
+    assert [h.values for h in transpose_only(5)] == [
+        (2, 2, 3), (3, 3, 3, 4), (3, 3, 4, 4),
+        (4, 4, 4, 4, 5), (4, 4, 4, 5, 5), (4, 4, 5, 5, 5),
+    ]
+
+
+@pytest.mark.parametrize("h", transpose_only(5), ids=str)
+def test_mirror_maps_edges_onto_the_transpose_graph(h):
+    # w -> w0 w w0 sends each edge of h to an edge of transpose(h), and its
+    # label under t_a -> t_{n+1-a} to the label there up to sign.
+    n = h.n
+    w0 = tuple(range(n, 0, -1))
+    target = {frozenset((e.w, e.v)): e.label() for e in build_gkm_graph(transpose(h)).edges}
+    edges = build_gkm_graph(h).edges
+    assert len(edges) == len(target)
+    images = set()
+    for e in edges:
+        key = frozenset((gkm._mirror(e.w), gkm._mirror(e.v)))
+        assert gkm._mirror(e.w) == compose(w0, compose(e.w, w0))
+        label = e.label().permute_vars(w0)
+        assert target[key] in (label, -label), (h.values, e)
+        images.add(key)
+    assert images == set(target)
+
+
+@pytest.mark.parametrize("h", [
+    *transpose_only(4),
+    pytest.param(new_hessenberg([4, 4, 4, 4, 5]), marks=pytest.mark.long),
+], ids=str)
+def test_mirrored_answers_match_the_direct_chain(h):
+    rng = random.Random(hash(h.values) % 10007)
+    gkm._rank_chain.cache_clear()
+    direct = gkm._RankChain(h)
+    assert isinstance(gkm._rank_chain(h), gkm._MirroredChain)
+    answers = []
+    for d in range(direct.top + 2):
+        level = direct.degree(d)
+        assert (graded_quotient_rank(h, 2 * d), sn_fixed_rank(h, 2 * d)) == (
+            level.rank, level.fixed), (h.values, d)
+        for c in _degree_classes(h, d, direct.ydeg, rng):
+            answers.append(gkm._t_ideal_contains(direct, c))
+            assert in_t_ideal(c, h) == answers[-1], (h.values, d)
+    assert any(answers) and not all(answers)
+    gkm._rank_chain.cache_clear()
 
 
 def element_to_gkm_e1(h):
