@@ -66,12 +66,9 @@ DEFAULT_MAX_N = 7
 # Bytes of answer text the answer cache may hold.
 _ANSWER_CACHE_BYTES = 16 * 2**20
 
-# The parsed options an answer depends on: the raw --h text, --max-n (a guard
-# already checked) and the subcommand alias are left out.
-_ANSWER_KEY = (
-    "run", "h", "shape", "fmt", "which", "blocks", "dump_class", "relations",
-    "variant", "map", "monomial", "tableau", "round_trip", "k", "trace",
-)
+# An answer depends on every parsed option but these: the subcommand alias,
+# the raw --h text (h is keyed) and --max-n (a guard already checked).
+_UNKEYED = frozenset(("command", "h_values", "max_n"))
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -160,7 +157,7 @@ def _cmd_tableaux(args) -> tuple[str, int]:
 
 
 def _parse_class_name(h: HessenbergFunction, name: str, variant: str | None):
-    kind, index = name[0], name[1:]
+    kind, index = name[:1], name[1:]
     if kind not in ("x", "y", "t") or not (index.isascii() and index.isdigit()):
         raise HesscombError(f"unknown class name {name!r}; use e.g. x2, y2, t1")
     k = int(index)
@@ -180,7 +177,7 @@ def _cmd_gkm(args) -> tuple[str, int]:
     h = args.h
     if args.variant is not None and args.dump_class is None:
         raise HesscombError("--variant applies only to --dump-class")
-    if args.dump_class:
+    if args.dump_class is not None:
         _require_format(args.fmt, ("json",))
         c = _parse_class_name(h, args.dump_class, args.variant)
         holds, bad = check_gkm_condition(build_gkm_graph(h), c)
@@ -482,10 +479,14 @@ class _AnswerCache:
 _answers = _AnswerCache()
 
 
+def _answer_key(args: argparse.Namespace) -> tuple:
+    return tuple(item for item in vars(args).items() if item[0] not in _UNKEYED)
+
+
 def _answer(args: argparse.Namespace) -> tuple[str, int]:
     """The request's answer, from the cache or computed and then kept; an
     error propagates before anything is kept."""
-    key = tuple(getattr(args, name, None) for name in _ANSWER_KEY)
+    key = _answer_key(args)
     answer = _answers.get(key)
     if answer is None:
         answer = args.run(args)

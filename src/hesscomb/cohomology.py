@@ -30,7 +30,6 @@ from .hessenberg import (
     HessenbergFunction,
     YForm,
     _one_row_h1,
-    _transpose_m,
     transpose,
     y_form,
 )
@@ -304,7 +303,9 @@ def basis_B2(h: HessenbergFunction) -> BasisSet:
 
 
 def basis_B3(h: HessenbergFunction) -> BasisSet:
-    """Same x-parts as B2 times the differences y_{k+1} - y_1, k = 1..n-1."""
+    """Same x-parts as B2 times the differences y_{k+1} - y_1, k = 1..n-1:
+    y_{k+1} - y_1 is the Specht polynomial of shape (n-1, 1) in the y
+    variables, for the standard tableau with 1 and k + 1 in its column."""
     h1 = _one_row_h1(h)
     n = h.n
     elems = []
@@ -621,21 +622,6 @@ def transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
         columns = [_coordinates_in(ring.reduced(e), index, len(rows)) for e in cols]
         blocks.append(TransitionBlock(2 * d, tuple(zip(*columns)), tuple(rows), tuple(cols)))
     return blocks
-
-
-def transpose_transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
-    """Blocks for a transpose-form h via the x_i <-> x_{n+1-i} relabeling."""
-    _transpose_m(h)
-    blocks = transition_blocks(transpose(h))
-    return [
-        TransitionBlock(
-            b.degree,
-            b.matrix,
-            tuple(mirror_element(e) for e in b.row_elements),
-            tuple(mirror_element(e) for e in b.col_elements),
-        )
-        for b in blocks
-    ]
 
 
 def check_unimodular(b: TransitionBlock) -> bool:

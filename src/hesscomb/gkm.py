@@ -12,7 +12,8 @@ generators of degree d - 1 that raised the rank, plus y_1, ..., y_n in the
 degree of the y classes.  A transpose-only h has no chain of its own: the
 mirror w -> w0 w w0, t_a -> t_{n+1-a} carries its moment graph onto that of
 its one-row transpose, so it reads the ranks and the t-ideal of that chain.
-Above the top degree (the complex dimension) the ranks are 0.
+Above the top degree (the complex dimension) the ranks are 0, and a class
+lies in the t-ideal exactly when it meets the edge conditions.
 """
 
 from __future__ import annotations
@@ -42,18 +43,6 @@ Perm = tuple[int, ...]
 @cache
 def all_permutations(n: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(1, n + 1)))
-
-
-def inverse_perm(w: Perm) -> Perm:
-    out = [0] * len(w)
-    for pos, val in enumerate(w):
-        out[val - 1] = pos + 1
-    return tuple(out)
-
-
-def compose(u: Perm, w: Perm) -> Perm:
-    """(u o w)(i) = u(w(i))."""
-    return tuple(u[w[i] - 1] for i in range(len(w)))
 
 
 def swap_positions(w: Perm, j: int, i: int) -> Perm:
@@ -289,16 +278,6 @@ def check_gkm_condition(g: GkmGraph, c: GkmClass) -> tuple[bool, GkmEdge | None]
     return True, None
 
 
-def dot_action(v: Perm, c: GkmClass) -> GkmClass:
-    """(v . c)(w) = c(v^{-1} w) with variables renamed t_i -> t_{v(i)}."""
-    if sorted(v) != list(range(1, c.n + 1)):
-        raise ShapeMismatch(f"{v} is not a permutation of 1..{c.n}")
-    vinv = inverse_perm(v)
-    return GkmClass(
-        c.n, {w: c.values[compose(vinv, w)].permute_vars(v) for w in c.values}
-    )
-
-
 def verify_relations(h: HessenbergFunction) -> dict[str, bool]:
     """Exact checks of the four ideal relations, per applicable form, one
     vertex at a time: a relation between classes holds when it holds at every
@@ -530,13 +509,9 @@ _CHAIN_CACHE_SIZE = 4
 _rank_chain = lru_cache(maxsize=_CHAIN_CACHE_SIZE)(_chain_for)
 
 
-def _t_ideal_contains(chain: _RankChain | _MirroredChain, c: GkmClass) -> bool:
-    """Membership of a homogeneous class in the chain's t-ideal.  The degree
-    is read from the first term; a term of any other degree has no column
-    there."""
-    d = next((sum(exps) for p in c.values.values() for exps in p.terms), None)
-    if d is None:
-        return True
+def _t_ideal_contains(chain: _RankChain | _MirroredChain, c: GkmClass, d: int) -> bool:
+    """Membership of a class of degree d in the chain's t-ideal; a term of any
+    other degree has no column there."""
     cols, vidx = chain.columns(d), chain.vidx
     try:
         row = {cols[exps] + vidx[w]: coeff
@@ -548,10 +523,24 @@ def _t_ideal_contains(chain: _RankChain | _MirroredChain, c: GkmClass) -> bool:
 
 def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:
     """Whether a homogeneous class lies in (t_1, ..., t_n) times the subring
-    generated by the x and y classes.  Requires a special-form h."""
+    generated by the x and y classes.  Requires a special-form h.
+
+    For a special form the x, y and t classes generate the class ring, which
+    is free over Q[t] on generators of degree at most the top.  So above the
+    top a class lies in the t-ideal exactly when it meets the edge
+    conditions, and the chain is not grown there."""
     if c.n != h.n:
         raise ShapeMismatch(f"class on {c.n} variables, but h = {h} has n = {h.n}")
-    return _t_ideal_contains(_rank_chain(h), c)
+    chain = _rank_chain(h)
+    # The degree is read from the first term.
+    d = next((sum(exps) for p in c.values.values() for exps in p.terms), None)
+    if d is None:
+        return True
+    if d > chain.top:
+        if any(sum(exps) != d for p in c.values.values() for exps in p.terms):
+            raise ShapeMismatch("t-ideal test needs a homogeneous class")
+        return check_gkm_condition(build_gkm_graph(h), c)[0]
+    return _t_ideal_contains(chain, c, d)
 
 
 def _checked_half_degree(degree_2d: int) -> int:

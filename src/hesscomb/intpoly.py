@@ -1,8 +1,8 @@
 """Exact multivariate integer polynomials on a fixed variable count.
 
-Shared by the torus-polynomial values of GKM classes (variables t_1..t_n)
-and by Specht polynomials (variables x_1..x_n).  Terms are a sparse map
-from exponent tuples (length nvars) to nonzero ints.
+The values of GKM classes at the vertices, polynomials in the torus
+variables t_1..t_n.  Terms are a sparse map from exponent tuples (length
+nvars) to nonzero ints.
 """
 
 from __future__ import annotations
@@ -104,17 +104,6 @@ class IntPoly:
             f = list(e)
             f[b - 1] += f[a - 1]
             f[a - 1] = 0
-            key = tuple(f)
-            acc[key] = acc.get(key, 0) + c
-        return IntPoly(self.nvars, acc)
-
-    def permute_vars(self, w: tuple[int, ...]) -> "IntPoly":
-        """Apply the substitution variable_i -> variable_{w(i)}."""
-        acc: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            f = [0] * self.nvars
-            for i, p in enumerate(e):
-                f[w[i] - 1] += p
             key = tuple(f)
             acc[key] = acc.get(key, 0) + c
         return IntPoly(self.nvars, acc)

@@ -108,11 +108,6 @@ class QPolynomial:
     def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
-    def is_palindromic(self) -> bool:
-        """Coefficients read the same from both ends of [0, degree]."""
-        d = self.degree()
-        return all(self.coefficient(e) == self.coefficient(d - e) for e in range(d + 1))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

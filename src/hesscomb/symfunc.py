@@ -368,18 +368,3 @@ class DecompositionCounts:
         m1 = sum(v[0] for v in self.by_degree.values())
         m2 = sum(v[1] for v in self.by_degree.values())
         return m1, m2
-
-
-def frobenius_from_decomposition(counts: DecompositionCounts) -> SymFn:
-    """Graded Frobenius characteristic: trivial -> s_(n), standard -> s_(n-1,1)."""
-    n = counts.n
-    triv = Partition((n,))
-    terms: dict[Partition, QPolynomial] = {triv: QPolynomial.zero()}
-    if n >= 2:
-        std = Partition((n - 1, 1))
-        terms[std] = QPolynomial.zero()
-    for d, (m1, m2) in counts.by_degree.items():
-        terms[triv] = terms[triv] + QPolynomial({d: m1})
-        if n >= 2 and m2:
-            terms[std] = terms[std] + QPolynomial({d: m2})
-    return SymFn(n, "schur", terms)

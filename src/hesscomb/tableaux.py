@@ -1,4 +1,4 @@
-"""Partitions, P-tableaux for Hessenberg posets, and Specht polynomials.
+"""Partitions, P-tableaux for Hessenberg posets, and their inversions.
 
 Tableaux are drawn with the longest row at the bottom; rows[0] is the
 bottom row and "directly above" means same column position, next row up.
@@ -18,7 +18,6 @@ from math import factorial
 
 from .errors import KOutOfRange, NotPTableau, ShapeMismatch, checked_int, json_decoder
 from .hessenberg import HessenbergFunction, incomparable_pairs
-from .intpoly import IntPoly
 
 
 @dataclass(frozen=True)
@@ -269,20 +268,3 @@ def syt_with_bottom_pair(n: int, k: int) -> PTableau:
     rest = [v for v in range(2, n + 1) if v != k]
     rows = ((1, k),) + tuple((v,) for v in rest)
     return PTableau(shape, rows)
-
-
-def specht_polynomial(t: PTableau) -> IntPoly:
-    """Column-wise Vandermonde: for positions a below b, factor x_{T(b)} - x_{T(a)}.
-
-    Alternating in each column's entries; on a standard tableau every factor
-    is (larger - smaller) since columns increase upward.
-    """
-    _check_filling(t)
-    n = t.n
-    out = IntPoly.const(n, 1)
-    for c in range(t.shape.parts[0] if t.shape.parts else 0):
-        col = t.column(c)
-        for a in range(len(col)):
-            for b in range(a + 1, len(col)):
-                out = out * (IntPoly.var(n, col[b]) - IntPoly.var(n, col[a]))
-    return out

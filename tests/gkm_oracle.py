@@ -1,7 +1,7 @@
 """Oracles for ``hesscomb.gkm``: the GKM rank tables built one q-degree at a
 time from every t-monomial, the exact oracle for the degree chain, and the
 four ideal relations checked in the class algebra, the oracle for the
-vertex-by-vertex ``verify_relations``.
+vertex-by-vertex ``verify_relations``, and the dot action of S_n on classes.
 
 In q-degree d the t-ideal is spanned directly by the rows t^a x^b and
 t^a x^b y_k for every t-monomial a of positive degree, so it shares nothing
@@ -23,6 +23,7 @@ from hesscomb.gkm import (
     class_x,
 )
 from hesscomb.hessenberg import y_forms
+from hesscomb.intpoly import IntPoly
 from hesscomb.linalg import IntEchelon
 
 
@@ -141,3 +142,24 @@ def verify_relations(h):
             ys.values(), GkmClass.zero(n)
         ) == prod((xs[pin] - xs[l] for l in form.factors), start=one)
     return report
+
+
+def compose(u, w):
+    """(u o w)(i) = u(w(i)), permutations in one-line notation."""
+    return tuple(u[w[i] - 1] for i in range(len(w)))
+
+
+def inverse(v):
+    return tuple(sorted(range(1, len(v) + 1), key=lambda i: v[i - 1]))
+
+
+def permute_vars(p, v):
+    """The substitution t_i -> t_{v(i)} applied to an IntPoly."""
+    vinv = inverse(v)
+    return IntPoly(p.nvars, {tuple(e[a - 1] for a in vinv): c for e, c in p.terms.items()})
+
+
+def dot_action(v, c):
+    """(v . c)(w) = c(v^{-1} w) with t_i -> t_{v(i)}: the dot action of S_n."""
+    vinv = inverse(v)
+    return GkmClass(c.n, {w: permute_vars(c.values[compose(vinv, w)], v) for w in c.values})

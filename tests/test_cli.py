@@ -359,6 +359,9 @@ def test_command_line_errors_are_json(capsys):
         ["gkm", "--h", "2,3,3", "--variant", "transpose"],
         ["gkm", "--h", "2,3,3", "--variant", "auto"],
         ["gkm", "--h", "2,3,3", "--relations", "--variant", "one-row"],
+        # an empty class name is a class name, not the graph mode
+        ["gkm", "--h", "2,3,3", "--dump-class", ""],
+        ["gkm", "--h", "2,3,3", "--dump-class", "", "--variant", "one-row"],
         ["basis", "--h", "2,3,3", "--blocks", "--which", "B2"],
         ["basis", "--h", "2,3,3", "--which", "B1", "--blocks"],
     ):
@@ -367,6 +370,12 @@ def test_command_line_errors_are_json(capsys):
         assert code == 2, argv
         assert json.loads(captured.out)["error"]["type"] == "HesscombError"
         assert captured.err == ""
+
+
+def test_an_empty_class_name_is_not_the_graph(capsys):
+    code, data = run_json(capsys, ["gkm", "--h", "2,3,3", "--dump-class", "", "--format", "dot"])
+    assert code == 2
+    assert data["error"]["type"] == "UnsupportedFormat"
 
 
 def test_b3_monomial_names_the_empty_basis(capsys):
@@ -538,6 +547,29 @@ def test_a_hit_prints_what_the_miss_printed(capsys, argv):
     hit = run(capsys, argv)
     assert hit == miss
     assert miss[0] == 0
+
+
+def test_every_option_keys_the_answer():
+    # an option added to a subcommand later keys its answers by itself; only
+    # the alias, the raw --h text and the --max-n guard are left out
+    assert cli._UNKEYED == {"command", "h_values", "max_n"}
+    minimal = {
+        "csf": ["--h", "2,3,3"],
+        "poincare": ["--h", "2,3,3"],
+        "tableaux": ["--h", "2,3,3", "--shape", "2,1"],
+        "gkm": ["--h", "2,3,3"],
+        "basis": ["--h", "2,3,3"],
+        "bijection": ["--h", "2,3,3", "--map", "b1", "--round-trip"],
+        "verify-goldens": [],
+        "verify-paper": [],
+    }
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(minimal)
+    for name, parser in sub.choices.items():
+        options = {a.dest for a in parser._actions if a.option_strings} - {"help"}
+        keyed = {option for option, _ in cli._answer_key(cli._parse_args([name, *minimal[name]]))}
+        assert options - {"h_values", "max_n"} <= keyed, name
+        assert "run" in keyed, name
 
 
 def test_a_failed_verification_is_kept(capsys, monkeypatch):

@@ -35,7 +35,6 @@ from hesscomb.cohomology import (
     normal_form,
     permutation_orbits,
     transition_blocks,
-    transpose_transition_blocks,
 )
 from hesscomb.errors import (
     DegenerateForm,
@@ -570,20 +569,6 @@ def test_transition_block_cokernels():
                 g = groups.get(b.degree // 2, 0)
                 assert smith_invariants(b.matrix) == [1] * (b.size - g) + [n] * g, (
                     n, h1, b.degree)
-
-
-def test_transpose_blocks_mirror_one_row_blocks():
-    for values in ([2, 3, 3], [3, 3, 3, 4], [3, 3, 4, 4], [3, 4, 4, 4]):
-        h = new_hessenberg(values)
-        mirrored = transpose_transition_blocks(h)
-        base = transition_blocks(transpose(h))
-        assert len(mirrored) == len(base)
-        for mb, bb in zip(mirrored, base):
-            assert mb.degree == bb.degree
-            assert mb.matrix == bb.matrix
-            assert mb.row_elements == tuple(mirror_element(e) for e in bb.row_elements)
-    with pytest.raises(FormMismatch):
-        transpose_transition_blocks(one_row(4, 2))
 
 
 def test_mirror_element_involution():

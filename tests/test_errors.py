@@ -24,7 +24,6 @@ from hesscomb import (
     basis_B3,
     class_x,
     coordinates,
-    dot_action,
     element_to_gkm,
     in_t_ideal,
     monomial_to_gkm,
@@ -132,11 +131,6 @@ def test_coordinates_rejects_non_monomial_basis():
     b3 = basis_B3(H233)
     with pytest.raises(NotInBasis):
         coordinates(b3.elements[0], list(b3.elements))
-
-
-def test_dot_action_rejects_non_permutation():
-    with pytest.raises(ShapeMismatch):
-        dot_action((1, 1, 3), class_x(3, 1))
 
 
 def test_polynomial_arguments_out_of_range():

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from gkm_oracle import DegreeOracle
+from gkm_oracle import DegreeOracle, compose, dot_action, permute_vars
 from gkm_oracle import verify_relations as class_algebra_relations
 
 from hesscomb import (
@@ -29,7 +29,6 @@ from hesscomb import (
     class_y_one_row,
     class_y_transpose,
     classify_form,
-    dot_action,
     element_to_gkm,
     graded_quotient_rank,
     in_t_ideal,
@@ -41,7 +40,6 @@ from hesscomb import (
     via_ptableaux,
 )
 from hesscomb import gkm
-from hesscomb.gkm import compose, inverse_perm
 from hesscomb.hessenberg import y_forms
 from hesscomb.intpoly import product
 from hesscomb.linalg import IntEchelon
@@ -175,33 +173,12 @@ def test_perturbed_class_fails_with_witness():
     assert (2, 1, 3) in (edge.w, edge.v)
 
 
-def test_dot_action_identity_and_x_invariance():
-    e = (1, 2, 3)
-    c = class_y_one_row(H233, 2)
-    assert dot_action(e, c) == c
-    for v in all_permutations(3):
-        for k in range(1, 4):
-            assert dot_action(v, class_x(3, k)) == class_x(3, k)
-
-
 def test_dot_action_permutes_y():
     for v in all_permutations(3):
         for k in range(1, 4):
             assert dot_action(v, class_y_one_row(H233, k)) == class_y_one_row(
                 H233, v[k - 1]
             )
-
-
-def test_dot_action_is_group_action():
-    rng = random.Random(7)
-    perms = all_permutations(4)
-    h = one_row(4, 2)
-    classes = [class_x(4, 2), class_y_one_row(h, 3), class_t(4, 1)]
-    for _ in range(12):
-        u = rng.choice(perms)
-        v = rng.choice(perms)
-        for c in classes:
-            assert dot_action(compose(u, v), c) == dot_action(u, dot_action(v, c))
 
 
 def test_gkm_condition_dot_equivariant():
@@ -430,6 +407,44 @@ def test_in_t_ideal_above_the_top_degree():
     assert not in_t_ideal(spike, h)
 
 
+@pytest.mark.parametrize("h", [h for h in special_forms(4) if h.n > 1], ids=str)
+def test_in_t_ideal_above_the_top_agrees_with_the_chain(h):
+    # above the top in_t_ideal reads the edge conditions; the chain grown that
+    # far answers the same.  A spike at one vertex breaks the edge conditions
+    # unless the graph has no edges.
+    n, top = h.n, sum(box_counts(h))
+    edgeless = not build_gkm_graph(h).edges
+    ydeg = len(gkm._generator_form(h).factors)
+    rng = random.Random(hash(h.values) % 10007)
+    chain = gkm._rank_chain(h)
+    for d in (top + 1, top + 2):
+        xs = [class_x(n, rng.randint(1, n)) for _ in range(d)]
+        c = math.prod(xs, start=GkmClass.constant(n, 1))
+        c = c + math.prod(xs[ydeg:], start=class_y(h, rng.randint(1, n)))
+        spot = rng.choice(all_permutations(n))
+        spike = GkmClass(n, {w: IntPoly(n, {(d,) + (0,) * (n - 1): 1}) if w == spot
+                             else IntPoly.zero(n) for w in all_permutations(n)})
+        for cls, member in ((c, True), (c + spike, edgeless)):
+            assert in_t_ideal(cls, h) == gkm._t_ideal_contains(chain, cls, d) == member, d
+
+
+def test_in_t_ideal_far_above_the_top_degree_grows_no_chain():
+    h = new_hessenberg([2, 4, 4, 4])
+    top = sum(box_counts(h))
+    gkm._rank_chain.cache_clear()
+    x1 = class_x(4, 1)
+    assert in_t_ideal(math.prod([x1] * 12, start=GkmClass.constant(4, 1)), h)
+    assert len(gkm._rank_chain(h).degrees) <= top + 1
+    # the checks keep their order above the top: size, form, homogeneity
+    high = math.prod([x1] * (top + 2), start=GkmClass.constant(4, 1))
+    with pytest.raises(ShapeMismatch):
+        in_t_ideal(high, H233)
+    with pytest.raises(FormMismatch):
+        in_t_ideal(high + x1, new_hessenberg([2, 3, 4, 4]))
+    with pytest.raises(ShapeMismatch):
+        in_t_ideal(high + x1, h)
+
+
 def test_form_mismatch_names_neither_form_on_general_h():
     h = new_hessenberg([2, 3, 4, 4])
     message = "h=(2,3,4,4) matches neither special form; generators unknown"
@@ -519,7 +534,7 @@ def test_degree_chain_matches_t_monomial_oracle(h):
         assert all(level.tideal.contains(row) for row in oracle.tideal.pivots.values())
         for c in _degree_classes(h, d, oracle.ydeg, rng):
             answers.append(oracle.in_t_ideal(c))
-            assert gkm._t_ideal_contains(chain, c) == answers[-1], (h.values, d)
+            assert gkm._t_ideal_contains(chain, c, d) == answers[-1], (h.values, d)
             assert in_t_ideal(c, h) == answers[-1], (h.values, d)
     assert any(answers) and not all(answers)
 
@@ -551,7 +566,7 @@ def test_mirror_maps_edges_onto_the_transpose_graph(h):
     for e in edges:
         key = frozenset((gkm._mirror(e.w), gkm._mirror(e.v)))
         assert gkm._mirror(e.w) == compose(w0, compose(e.w, w0))
-        label = e.label().permute_vars(w0)
+        label = permute_vars(e.label(), w0)
         assert target[key] in (label, -label), (h.values, e)
         images.add(key)
     assert images == set(target)
@@ -572,7 +587,7 @@ def test_mirrored_answers_match_the_direct_chain(h):
         assert (graded_quotient_rank(h, 2 * d), sn_fixed_rank(h, 2 * d)) == (
             level.rank, level.fixed), (h.values, d)
         for c in _degree_classes(h, d, direct.ydeg, rng):
-            answers.append(gkm._t_ideal_contains(direct, c))
+            answers.append(gkm._t_ideal_contains(direct, c, d))
             assert in_t_ideal(c, h) == answers[-1], (h.values, d)
     assert any(answers) and not all(answers)
     gkm._rank_chain.cache_clear()

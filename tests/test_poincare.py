@@ -97,13 +97,18 @@ def test_transpose_symmetry():
             assert closed_form(h) == via_ptableaux(transpose(h))
 
 
+def _palindromic(p):
+    coeffs = [p.coefficient(e) for e in range(p.degree() + 1)]
+    return coeffs == coeffs[::-1]
+
+
 def test_palindromic_for_all_h():
     for n in range(1, 7):
         for h1 in range(1, n + 1):
-            assert closed_form(one_row(n, h1)).is_palindromic()
+            assert _palindromic(closed_form(one_row(n, h1)))
     for n in range(1, 6):
         for h in all_hessenberg_functions(n):
-            assert via_ptableaux(h).is_palindromic()
+            assert _palindromic(via_ptableaux(h))
 
 
 def test_reconcile_one_row_report():

@@ -25,7 +25,6 @@ from hesscomb import (
     csf_schur_by_ptableaux,
     decomposition_counts,
     enumerate_p_tableaux,
-    frobenius_from_decomposition,
     inc_graph,
     inversions,
     is_positive,
@@ -316,13 +315,6 @@ def test_pipeline_positivity_n3():
     assert is_positive(omega(f), "homogeneous")[0]
 
 
-def test_frobenius_from_decomposition_basics():
-    c = DecompositionCounts(4, {0: (1, 0)})
-    assert frobenius_from_decomposition(c) == schur(4, {(4,): {0: 1}})
-    c2 = DecompositionCounts(4, {1: (0, 1)})
-    assert frobenius_from_decomposition(c2) == schur(4, {(3, 1): {1: 1}})
-
-
 def transpose_decomposition_counts(h):
     """Per degree, the trivial count from TransposeB1 and the standard count
     from TransposeB3, whose elements come n - 1 to an x-part."""
@@ -335,20 +327,30 @@ def transpose_decomposition_counts(h):
     )
 
 
+def _assert_census_is_omega_csf(counts, h):
+    # the census read as a graded character: trivial -> s_(n), standard ->
+    # s_(n-1,1), and no other Schur term
+    n = h.n
+    f = omega(csf_schur_by_ptableaux(h))
+    trivial, standard = Partition((n,)), Partition((n - 1, 1))
+    assert f.coefficient(trivial) == QPolynomial(
+        {d: m1 for d, (m1, _) in counts.by_degree.items()}
+    ), h.values
+    assert f.coefficient(standard) == QPolynomial(
+        {d: m2 for d, (_, m2) in counts.by_degree.items()}
+    ), h.values
+    assert set(f.terms) <= {trivial, standard}, h.values
+
+
 def _check_frobenius_matches_omega_csf(n):
     # the paper's decompositions read as a graded character equal omega of the
     # csf (Shareshian-Wachs; Brosnan-Chow), for h = (h(1), n, ..., n) and for
     # its transpose ((n-1)^(n-m), n^m)
     for k in range(1, n + 1):
         h = one_row(n, k)
-        counts = decomposition_counts(h)
-        assert frobenius_from_decomposition(counts) == omega(
-            csf_schur_by_ptableaux(h)
-        ), h.values
+        _assert_census_is_omega_csf(decomposition_counts(h), h)
         h = new_hessenberg([n - 1] * (n - k) + [n] * k)
-        assert frobenius_from_decomposition(transpose_decomposition_counts(h)) == omega(
-            csf_schur_by_ptableaux(h)
-        ), h.values
+        _assert_census_is_omega_csf(transpose_decomposition_counts(h), h)
 
 
 def test_frobenius_matches_omega_csf():

@@ -7,7 +7,6 @@ import pytest
 
 from hesscomb import (
     QPolynomial,
-    IntPoly,
     KOutOfRange,
     Partition,
     PTableau,
@@ -24,7 +23,6 @@ from hesscomb import (
     partitions_of,
     q_factorial,
     q_int,
-    specht_polynomial,
     syt_with_bottom_pair,
 )
 
@@ -247,24 +245,3 @@ def test_syt_with_bottom_pair_is_standard():
         found = {syt_with_bottom_pair(n, k) for k in range(2, n + 1)}
         assert found <= set(standard_tableaux(hook))
         assert len(found) == n - 1
-
-
-def test_specht_polynomial_examples():
-    row = PTableau(Partition((3,)), ((1, 2, 3),))
-    assert specht_polynomial(row) == IntPoly.const(3, 1)
-    col = PTableau(Partition((1, 1)), ((1,), (2,)))
-    x = lambda i: IntPoly.var(2, i)
-    assert specht_polynomial(col) == x(2) - x(1)
-    t = PTableau(Partition((2, 1, 1, 1)), ((1, 5), (2,), (3,), (4,)))
-    x = lambda i: IntPoly.var(5, i)
-    expected = (
-        (x(4) - x(3)) * (x(4) - x(2)) * (x(4) - x(1))
-        * (x(3) - x(2)) * (x(3) - x(1)) * (x(2) - x(1))
-    )
-    assert specht_polynomial(t) == expected
-
-
-def test_specht_polynomial_alternates_in_columns():
-    t = PTableau(Partition((2, 1, 1)), ((1, 4), (2,), (3,)))
-    swapped = PTableau(Partition((2, 1, 1)), ((2, 4), (1,), (3,)))
-    assert specht_polynomial(swapped) == IntPoly.const(4, -1) * specht_polynomial(t)
