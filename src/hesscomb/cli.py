@@ -41,17 +41,7 @@ from .cohomology import (
     transition_blocks,
 )
 from .errors import DegreeTooLarge, GuardrailExceeded, HesscombError, UnsupportedFormat, checked_int
-from .gkm import (
-    build_gkm_graph,
-    check_gkm_condition,
-    class_t,
-    class_x,
-    class_y,
-    class_y_one_row,
-    class_y_transpose,
-    one_line_str,
-    verify_relations,
-)
+from .gkm import _class_by_name, build_gkm_graph, check_gkm_condition, one_line_str, verify_relations
 from .hessenberg import HessenbergFunction, inc_graph, new_hessenberg
 from .poincare import reconcile
 from .symfunc import DEGREE_BOUND, change_basis, csf_by_coloring, is_positive, omega
@@ -156,22 +146,6 @@ def _cmd_tableaux(args) -> tuple[str, int]:
     return _json(data), EXIT_OK
 
 
-def _parse_class_name(h: HessenbergFunction, name: str, variant: str | None):
-    kind, index = name[:1], name[1:]
-    if kind not in ("x", "y", "t") or not (index.isascii() and index.isdigit()):
-        raise HesscombError(f"unknown class name {name!r}; use e.g. x2, y2, t1")
-    k = int(index)
-    if kind == "t":
-        return class_t(h.n, k)
-    if kind == "x":
-        return class_x(h.n, k)
-    if variant == "one-row":
-        return class_y_one_row(h, k)
-    if variant == "transpose":
-        return class_y_transpose(h, k)
-    return class_y(h, k)
-
-
 def _cmd_gkm(args) -> tuple[str, int]:
     # The parser takes at most one of --dump-class and --relations.
     h = args.h
@@ -179,7 +153,7 @@ def _cmd_gkm(args) -> tuple[str, int]:
         raise HesscombError("--variant applies only to --dump-class")
     if args.dump_class is not None:
         _require_format(args.fmt, ("json",))
-        c = _parse_class_name(h, args.dump_class, args.variant)
+        c = _class_by_name(h, args.dump_class, args.variant)
         holds, bad = check_gkm_condition(build_gkm_graph(h), c)
         data = {
             "h": list(h.values),

@@ -11,7 +11,7 @@ the class ring over Z[t], so the generators of degree d are x_k times the
 generators of degree d - 1 that raised the rank, plus y_1, ..., y_n in the
 degree of the y classes.  A transpose-only h has no chain of its own: the
 mirror w -> w0 w w0, t_a -> t_{n+1-a} carries its moment graph onto that of
-its one-row transpose, so it reads the ranks and the t-ideal of that chain.
+its one-row transpose, so it shares that chain and reads its classes mirrored.
 Above the top degree (the complex dimension) the ranks are 0, and a class
 lies in the t-ideal exactly when it meets the edge conditions.
 """
@@ -23,7 +23,15 @@ import json
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
-from .errors import FormMismatch, KOutOfRange, OddDegree, OutOfRange, ShapeMismatch
+from .errors import (
+    FormMismatch,
+    HesscombError,
+    KOutOfRange,
+    OddDegree,
+    OutOfRange,
+    ShapeMismatch,
+    checked_int,
+)
 from .hessenberg import (
     HessenbergFunction,
     YForm,
@@ -207,14 +215,14 @@ class GkmClass:
 
 def class_t(n: int, k: int) -> GkmClass:
     """The constant class w -> t_k."""
-    if not 1 <= k <= n:
+    if not 1 <= checked_int(k, "k") <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     return GkmClass.constant(n, IntPoly.var(n, k))
 
 
 def class_x(n: int, k: int) -> GkmClass:
     """The class w -> t_{w(k)}."""
-    if not 1 <= k <= n:
+    if not 1 <= checked_int(k, "k") <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     return GkmClass(n, {w: IntPoly.var(n, w[k - 1]) for w in all_permutations(n)})
 
@@ -222,7 +230,7 @@ def class_x(n: int, k: int) -> GkmClass:
 def _class_y(h: HessenbergFunction, k: int, form: YForm) -> GkmClass:
     """Supported on w(pin) = k with value prod_{l in factors} (t_k - t_{w(l)})."""
     n = h.n
-    if not 1 <= k <= n:
+    if not 1 <= checked_int(k, "k") <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     tk, zero = IntPoly.var(n, k), IntPoly.zero(n)
     # The value depends only on the set of w(l), so the vertices with one set
@@ -263,6 +271,21 @@ def class_y_transpose(h: HessenbergFunction, k: int) -> GkmClass:
 def class_y(h: HessenbergFunction, k: int) -> GkmClass:
     """Dispatch on the form of h; the one-row constructor wins when both apply."""
     return _class_y(h, k, _generator_form(h))
+
+
+def _class_by_name(h: HessenbergFunction, name: str, variant: str | None) -> GkmClass:
+    """The class named x<k>, y<k> or t<k>; a y class takes the form variant
+    names, "one-row" or "transpose", and otherwise the one class_y takes."""
+    kind, index = name[:1], name[1:]
+    if kind not in ("x", "y", "t") or not (index.isascii() and index.isdigit()):
+        raise HesscombError(f"unknown class name {name!r}; use e.g. x2, y2, t1")
+    k = int(index)
+    if kind == "t":
+        return class_t(h.n, k)
+    if kind == "x":
+        return class_x(h.n, k)
+    make = {"one-row": class_y_one_row, "transpose": class_y_transpose}.get(variant, class_y)
+    return make(h, k)
 
 
 def check_gkm_condition(g: GkmGraph, c: GkmClass) -> tuple[bool, GkmEdge | None]:
@@ -367,18 +390,21 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class _Degree:
-    """One q-degree d: the first column of each degree-d t-monomial, the
-    echelonized t-ideal, and the quotient and fixed-subspace ranks."""
+    """One q-degree d: the first column of each degree-d t-monomial, keyed by
+    the monomial and by its reversal, the echelonized t-ideal, and the
+    quotient and fixed-subspace ranks."""
 
     cols: dict[tuple[int, ...], int]
+    mirror_cols: dict[tuple[int, ...], int]
     tideal: IntEchelon
     rank: int
     fixed: int
 
 
 class _RankChain:
-    """The q-degrees of one special-form h, built in order.  A row is a class
-    over the columns (degree-d t-monomial, vertex), t-monomial-major, so t_i
+    """The q-degrees of one special-form h, built in order; a transpose-only
+    h reads those of its one-row transpose (_chain_for).  A row is a class
+    over the columns (degree-d t-monomial, vertex), t-monomial-major: t_i
     times a row moves each column to the monomial with one more t_i, and x_k
     times a row moves the column at vertex w to the one with one more t_{w(k)}.
 
@@ -391,11 +417,13 @@ class _RankChain:
 
     def __init__(self, h: HessenbergFunction):
         form = _generator_form(h)
-        self.n = h.n
+        self.h, self.n = h, h.n
         self.top = sum(box_counts(h))
         self.ydeg = len(form.factors)
         perms = all_permutations(h.n)
         self.vidx = {w: i for i, w in enumerate(perms)}
+        # The column of w0 w w0, for a transpose-only h read off this chain.
+        self.mirror_vidx = {w: self.vidx[_mirror(w)] for w in perms}
         # Per k, the index i with x_k = t_{i+1} at each vertex.
         self.xvar = [[w[k] - 1 for w in perms] for k in range(h.n)]
         # The support of each y_k, with the terms of its value at each vertex.
@@ -415,10 +443,6 @@ class _RankChain:
         while len(self.degrees) <= d:
             self._grow()
         return self.degrees[d]
-
-    def columns(self, d: int) -> dict[tuple[int, ...], int]:
-        """The first column of each degree-d t-monomial."""
-        return self.degree(d).cols
 
     def _grow(self) -> None:
         d, n, nverts = len(self.degrees), self.n, len(self.vidx)
@@ -445,7 +469,8 @@ class _RankChain:
         self.ygens = [row for row in ycands if span.insert(row)]
         fixed = len(self.xgens)
         self.span = span
-        self.degrees.append(_Degree(cols, tideal, fixed + len(self.ygens), fixed))
+        mirror_cols = {mon[::-1]: col for mon, col in cols.items()}
+        self.degrees.append(_Degree(cols, mirror_cols, tideal, fixed + len(self.ygens), fixed))
 
     def _times_x(self, shifts, k: int, row: dict[int, int]) -> dict[int, int]:
         """x_{k+1} times a row of the degree below."""
@@ -464,61 +489,43 @@ def _mirror(w: Perm) -> Perm:
     return tuple(n + 1 - v for v in reversed(w))
 
 
-class _MirroredChain:
-    """A transpose-only h read off the chain of its one-row transpose.
+def _chain_for(h: HessenbergFunction) -> _RankChain:
+    """The chain of h, or for a transpose-only h the chain of transpose(h);
+    an h of both forms keeps its own one-row chain.
 
     w -> w0 w w0 with t_a -> t_{n+1-a} maps the moment graph of h onto that
     of transpose(h), each edge label to minus a label, x_k to x_{n+1-k} and
     the transpose-form y_k to the one-row y_{n+1-k}.  So the two class rings,
-    their t-ideals and their x-subrings correspond degree by degree, and a
-    class of h is a row of the one-row chain once its vertices are mirrored
-    and each t-monomial's exponents reversed."""
-
-    def __init__(self, chain: _RankChain):
-        self.chain = chain
-        self.top = chain.top
-        self.vidx = {w: chain.vidx[_mirror(w)] for w in chain.vidx}
-        self._cols: dict[int, dict[tuple[int, ...], int]] = {}
-
-    def degree(self, d: int) -> _Degree:
-        """The one-row chain's degree d: its ranks and t-ideal are those of
-        h, but its columns are indexed by unreversed t-monomials."""
-        return self.chain.degree(d)
-
-    def columns(self, d: int) -> dict[tuple[int, ...], int]:
-        """The first column of the reversal of each degree-d t-monomial."""
-        cols = self._cols.get(d)
-        if cols is None:
-            cols = self._cols[d] = {
-                mon[::-1]: col for mon, col in self.chain.columns(d).items()}
-        return cols
-
-
-def _chain_for(h: HessenbergFunction) -> _RankChain | _MirroredChain:
-    """The chain of h, or for a transpose-only h the mirror over the chain of
-    transpose(h); an h of both forms keeps its own one-row chain."""
+    their t-ideals and their x-subrings correspond degree by degree: the
+    ranks of h are those of the chain, and a class of h is a row of it once
+    its vertices are mirrored and each t-monomial's exponents reversed."""
     tag = classify_form(h)
     if tag.is_transpose and not tag.is_one_row:
-        return _MirroredChain(_rank_chain(transpose(h)))
+        return _rank_chain(transpose(h))
     return _RankChain(h)
 
 
-# One chain or mirror per h, for the few most recent h: a long-lived process
-# asking about many h keeps only these, and each keeps one chain alive.
+# One chain per h, for the few most recent h: a long-lived process asking
+# about many h keeps only these.  A transpose-only h shares its transpose's.
 _CHAIN_CACHE_SIZE = 4
 _rank_chain = lru_cache(maxsize=_CHAIN_CACHE_SIZE)(_chain_for)
 
 
-def _t_ideal_contains(chain: _RankChain | _MirroredChain, c: GkmClass, d: int) -> bool:
-    """Membership of a class of degree d in the chain's t-ideal; a term of any
+def _t_ideal_contains(chain: _RankChain, h: HessenbergFunction, c: GkmClass, d: int) -> bool:
+    """Membership of a class of h of degree d in the chain's t-ideal, read
+    through the mirror when the chain is that of transpose(h); a term of any
     other degree has no column there."""
-    cols, vidx = chain.columns(d), chain.vidx
+    level = chain.degree(d)
+    if chain.h == h:
+        cols, vidx = level.cols, chain.vidx
+    else:
+        cols, vidx = level.mirror_cols, chain.mirror_vidx
     try:
         row = {cols[exps] + vidx[w]: coeff
                for w, p in c.values.items() for exps, coeff in p.terms.items()}
     except KeyError:
         raise ShapeMismatch("t-ideal test needs a homogeneous class") from None
-    return chain.degree(d).tideal.contains(row)
+    return level.tideal.contains(row)
 
 
 def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:
@@ -540,11 +547,11 @@ def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:
         if any(sum(exps) != d for p in c.values.values() for exps in p.terms):
             raise ShapeMismatch("t-ideal test needs a homogeneous class")
         return check_gkm_condition(build_gkm_graph(h), c)[0]
-    return _t_ideal_contains(chain, c, d)
+    return _t_ideal_contains(chain, h, c, d)
 
 
 def _checked_half_degree(degree_2d: int) -> int:
-    if degree_2d < 0:
+    if checked_int(degree_2d, "the degree") < 0:
         raise OutOfRange(f"negative degree {degree_2d}")
     if degree_2d % 2:
         raise OddDegree(f"cohomological degree {degree_2d} is odd")

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 from .bijections import trace_phi_b1, trace_phi_b3, trace_phi_nilpotent
 from .cohomology import XYElement, XYMonomial, transition_blocks
 from .errors import KeyNotFound
-from .gkm import (
-    GkmClass,
-    build_gkm_graph,
-    check_gkm_condition,
-    class_x,
-    class_y_one_row,
-    class_y_transpose,
-    one_line_str,
-)
+from .gkm import GkmClass, _class_by_name, build_gkm_graph, check_gkm_condition, one_line_str
 from .hessenberg import new_hessenberg
 from .tableaux import Partition, p_tableaux_with_inversions
 
@@ -186,13 +178,9 @@ def _diff(expected, actual) -> str:
 def _verify_class(key: str) -> GoldenResult:
     data = _GOLDENS[key]
     h = new_hessenberg(data["h"])
-    name = data["class"]
-    if name == "x2":
-        c = class_x(h.n, 2)
-    elif name == "y2":
-        c = class_y_one_row(h, 2)
-    else:
-        c = class_y_transpose(h, 2)
+    # "y2-transpose" names y2 in the transpose form.
+    name, _, variant = data["class"].partition("-")
+    c = _class_by_name(h, name, variant or None)
     actual = _class_values(c)
     holds, _bad = check_gkm_condition(build_gkm_graph(h), c)
     ok = actual == data["values"] and holds

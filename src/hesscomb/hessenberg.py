@@ -195,7 +195,7 @@ def box_counts(h: HessenbergFunction) -> tuple[int, ...]:
 
 def all_hessenberg_functions(n: int) -> Iterator[HessenbergFunction]:
     """All Hessenberg functions on [n], lexicographic by value tuple."""
-    if n < 1:
+    if checked_int(n, "n") < 1:
         raise EmptyInput("n must be at least 1")
 
     def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:

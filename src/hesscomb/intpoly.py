@@ -111,13 +111,13 @@ class IntPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
 
-    def pretty(self, name: str = "t") -> str:
+    def pretty(self) -> str:
         if not self.terms:
             return "0"
         bits = []
         for exps, c in sorted(self.terms.items(), reverse=True):
             mono = "*".join(
-                f"{name}{i + 1}" + (f"^{p}" if p > 1 else "")
+                f"t{i + 1}" + (f"^{p}" if p > 1 else "")
                 for i, p in enumerate(exps)
                 if p
             )

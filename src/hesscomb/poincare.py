@@ -6,7 +6,7 @@ chromatic quasisymmetric function from P-tableaux (csf_schur_by_ptableaux) and
 weights each by its standard-tableau count; it works for every h.  The basis
 route adds the degree generating functions of B1 and B3, counted from their
 exponent tuples by decomposition_counts; the GKM route computes graded ranks
-of the quotient model (small n only).
+of the quotient model for either special form (small n only).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cohomology import decomposition_counts
 from .errors import FormMismatch, OutOfRange
 from .gkm import betti_numbers
-from .hessenberg import HessenbergFunction, _one_row_h1
+from .hessenberg import HessenbergFunction, _one_row_h1, classify_form
 from .qpoly import QPolynomial, q_factorial, q_int
 from .symfunc import csf_schur_by_ptableaux
 from .tableaux import count_syt
@@ -93,11 +93,10 @@ def reconcile(h: HessenbergFunction) -> PoincareReport:
     """Runs every applicable method and records whether they all agree."""
     tabs = via_ptableaux(h)
     try:
-        closed = closed_form(h)
-        basis = via_basis_degrees(h)
+        closed, basis = closed_form(h), via_basis_degrees(h)
     except FormMismatch:
-        return PoincareReport(h, None, tabs, None, None, True)
-    gkm = via_gkm(h) if h.n <= GKM_MAX_N else None
-    computed = [closed, tabs, basis] + ([gkm] if gkm is not None else [])
-    agree = all(p == computed[0] for p in computed)
+        closed = basis = None
+    special = not classify_form(h).is_general
+    gkm = via_gkm(h) if special and h.n <= GKM_MAX_N else None
+    agree = all(p == tabs for p in (closed, basis, gkm) if p is not None)
     return PoincareReport(h, closed, tabs, basis, gkm, agree)

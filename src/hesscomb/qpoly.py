@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import OutOfRange
+from .errors import OutOfRange, checked_int
 
 
 class QPolynomial:
@@ -141,14 +141,14 @@ class QPolynomial:
 
 def q_int(k: int) -> QPolynomial:
     """q-analog [k]_q = 1 + q + ... + q^(k-1); [0]_q = 0."""
-    if k < 0:
+    if checked_int(k, "k") < 0:
         raise OutOfRange("q_int of a negative integer")
     return QPolynomial({e: 1 for e in range(k)})
 
 
 def q_factorial(k: int) -> QPolynomial:
     """q-analog [k]_q! = [1]_q [2]_q ... [k]_q; [0]_q! = 1."""
-    if k < 0:
+    if checked_int(k, "k") < 0:
         raise OutOfRange("q_factorial of a negative integer")
     out = QPolynomial.one()
     for j in range(1, k + 1):

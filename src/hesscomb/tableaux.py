@@ -260,9 +260,9 @@ def count_syt(shape: Partition) -> int:
 
 def syt_with_bottom_pair(n: int, k: int) -> PTableau:
     """The unique standard tableau of shape (2, 1^(n-2)) with bottom row (1, k)."""
-    if n < 2:
+    if checked_int(n, "n") < 2:
         raise KOutOfRange("needs n >= 2")
-    if not 2 <= k <= n:
+    if not 2 <= checked_int(k, "k") <= n:
         raise KOutOfRange(f"k = {k} outside [2, {n}]")
     shape = Partition((2,) + (1,) * (n - 2))
     rest = [v for v in range(2, n + 1) if v != k]

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hesscomb.cli as cli
+import hesscomb.poincare as poincare
 from hesscomb.goldens import GoldenResult, lookup
 from hesscomb.hessenberg import new_hessenberg
 from hesscomb.poincare import PoincareReport
@@ -440,6 +441,15 @@ def test_poincare_disagreement_exit(capsys, monkeypatch):
     code, data = run_json(capsys, ["poincare", "--h", "2,3,3"])
     assert code == 3
     assert data["methods_agree"] is False
+
+
+def test_poincare_checks_a_transpose_only_h_by_gkm(capsys, monkeypatch):
+    code, data = run_json(capsys, ["poincare", "--h", "3,3,4,4"])
+    assert (code, data["methods_agree"]) == (0, True)
+    cli._answers.clear()
+    monkeypatch.setattr(poincare, "betti_numbers", lambda _h: (1, 1))
+    code, data = run_json(capsys, ["poincare", "--h", "3,3,4,4"])
+    assert (code, data["methods_agree"]) == (3, False)
 
 
 def test_round_trip_failure_exit(capsys, monkeypatch):

@@ -21,18 +21,24 @@ from hesscomb import (
     SymFn,
     XYElement,
     XYMonomial,
+    all_hessenberg_functions,
     basis_B3,
+    class_t,
     class_x,
+    class_y,
     coordinates,
     element_to_gkm,
+    graded_quotient_rank,
     in_t_ideal,
     monomial_to_gkm,
     multiply,
     new_hessenberg,
     normal_form,
+    sn_fixed_rank,
+    syt_with_bottom_pair,
 )
 from hesscomb import gkm
-from hesscomb.qpoly import QPolynomial, q_int
+from hesscomb.qpoly import QPolynomial, q_factorial, q_int
 
 H233 = new_hessenberg([2, 3, 3])
 DECODERS = (HessenbergFunction, XYElement, SymFn, PTableau)
@@ -125,6 +131,31 @@ def test_new_hessenberg_rejects_non_integers(values):
 def test_new_hessenberg_rejects_non_iterable(values):
     with pytest.raises(MalformedInput):
         new_hessenberg(values)
+
+
+INT_ARGUMENTS = {
+    "graded_quotient_rank": lambda v: graded_quotient_rank(H233, v),
+    "sn_fixed_rank": lambda v: sn_fixed_rank(H233, v),
+    "class_t": lambda v: class_t(3, v),
+    "class_x": lambda v: class_x(3, v),
+    "class_y": lambda v: class_y(H233, v),
+    "syt_with_bottom_pair n": lambda v: syt_with_bottom_pair(v, 2),
+    "syt_with_bottom_pair k": lambda v: syt_with_bottom_pair(3, v),
+    "q_int": q_int,
+    "q_factorial": q_factorial,
+    "all_hessenberg_functions": lambda v: list(all_hessenberg_functions(v)),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, "2", None, True], ids=repr)
+@pytest.mark.parametrize("call", INT_ARGUMENTS.values(), ids=INT_ARGUMENTS.keys())
+def test_integer_arguments_reject_other_types(call, value):
+    # 2.0 and True compare like 2, so each is refused before any comparison,
+    # and before a rank chain is built.
+    gkm._rank_chain.cache_clear()
+    with pytest.raises(MalformedInput, match="must be an integer"):
+        call(value)
+    assert gkm._rank_chain.cache_info().currsize == 0
 
 
 def test_coordinates_rejects_non_monomial_basis():

@@ -363,7 +363,7 @@ def test_ranks_above_the_top_degree_grow_no_chain():
         assert graded_quotient_rank(h, 2 * (top + 5)) == 0
         assert sn_fixed_rank(h, 2 * (top + 5)) == 0
     # The two share the chain of (2,4,4,4).
-    assert gkm._rank_chain(mirrored).chain is gkm._rank_chain(one_row)
+    assert gkm._rank_chain(mirrored) is gkm._rank_chain(one_row)
     assert len(gkm._rank_chain(one_row).degrees) == top + 1
 
 
@@ -425,7 +425,7 @@ def test_in_t_ideal_above_the_top_agrees_with_the_chain(h):
         spike = GkmClass(n, {w: IntPoly(n, {(d,) + (0,) * (n - 1): 1}) if w == spot
                              else IntPoly.zero(n) for w in all_permutations(n)})
         for cls, member in ((c, True), (c + spike, edgeless)):
-            assert in_t_ideal(cls, h) == gkm._t_ideal_contains(chain, cls, d) == member, d
+            assert in_t_ideal(cls, h) == gkm._t_ideal_contains(chain, h, cls, d) == member, d
 
 
 def test_in_t_ideal_far_above_the_top_degree_grows_no_chain():
@@ -515,7 +515,7 @@ LARGEST = ((3, 4, 4, 4), (4, 4, 4, 4))
 ])
 def test_degree_chain_matches_t_monomial_oracle(h):
     # The chain is built on h itself; the public answers for a transpose-only
-    # h come from the mirrored chain of transpose(h).
+    # h come from the chain of transpose(h), read through the mirror.
     rng = random.Random(hash(h.values) % 10007)
     answers = []
     chain = gkm._RankChain(h)
@@ -534,7 +534,7 @@ def test_degree_chain_matches_t_monomial_oracle(h):
         assert all(level.tideal.contains(row) for row in oracle.tideal.pivots.values())
         for c in _degree_classes(h, d, oracle.ydeg, rng):
             answers.append(oracle.in_t_ideal(c))
-            assert gkm._t_ideal_contains(chain, c, d) == answers[-1], (h.values, d)
+            assert gkm._t_ideal_contains(chain, h, c, d) == answers[-1], (h.values, d)
             assert in_t_ideal(c, h) == answers[-1], (h.values, d)
     assert any(answers) and not all(answers)
 
@@ -577,19 +577,36 @@ def test_mirror_maps_edges_onto_the_transpose_graph(h):
     pytest.param(new_hessenberg([4, 4, 4, 4, 5]), marks=pytest.mark.long),
 ], ids=str)
 def test_mirrored_answers_match_the_direct_chain(h):
+    # The chain built on h itself is the oracle for the shared chain of
+    # transpose(h), read through the mirrored rows at every degree up to
+    # top + 1, and for the public answers.
     rng = random.Random(hash(h.values) % 10007)
     gkm._rank_chain.cache_clear()
     direct = gkm._RankChain(h)
-    assert isinstance(gkm._rank_chain(h), gkm._MirroredChain)
+    shared = gkm._rank_chain(h)
+    assert shared.h == transpose(h)
     answers = []
     for d in range(direct.top + 2):
         level = direct.degree(d)
         assert (graded_quotient_rank(h, 2 * d), sn_fixed_rank(h, 2 * d)) == (
             level.rank, level.fixed), (h.values, d)
         for c in _degree_classes(h, d, direct.ydeg, rng):
-            answers.append(gkm._t_ideal_contains(direct, c, d))
+            answers.append(gkm._t_ideal_contains(direct, h, c, d))
+            assert gkm._t_ideal_contains(shared, h, c, d) == answers[-1], (h.values, d)
             assert in_t_ideal(c, h) == answers[-1], (h.values, d)
     assert any(answers) and not all(answers)
+    gkm._rank_chain.cache_clear()
+
+
+def test_transpose_only_h_shares_its_transposes_chain():
+    # Every cached value is a chain, and a transpose-only h's entry is the
+    # chain of its one-row transpose itself, so live chains never outnumber
+    # the entries.
+    gkm._rank_chain.cache_clear()
+    for h in special_forms(4):
+        assert type(gkm._rank_chain(h)) is gkm._RankChain, h.values
+    for t in transpose_only(4):
+        assert gkm._rank_chain(t) is gkm._rank_chain(transpose(t)), t.values
     gkm._rank_chain.cache_clear()
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hesscomb import poincare
 from hesscomb.cohomology import basis_B1, basis_B3, degree_gf
 from hesscomb.errors import FormMismatch, OutOfRange
 from hesscomb.hessenberg import all_hessenberg_functions, new_hessenberg, transpose
@@ -132,6 +133,20 @@ def test_reconcile_general_h():
     assert report.via_gkm is None
     assert report.agree
     assert report.polynomial() == QPolynomial({0: 1, 1: 11, 2: 11, 3: 1})
+
+
+@pytest.mark.parametrize("values", [(2, 2, 3), (3, 3, 3, 4), (3, 3, 4, 4)], ids=str)
+def test_reconcile_runs_gkm_on_transpose_only_h(monkeypatch, values):
+    # The closed form and the basis route need a one-row h; the GKM route
+    # still checks the tableau route on the transpose form.
+    h = new_hessenberg(list(values))
+    report = reconcile(h)
+    assert report.closed_form is None and report.via_basis is None
+    assert report.via_gkm is not None
+    assert report.via_gkm == report.via_tableaux
+    assert report.agree
+    monkeypatch.setattr(poincare, "betti_numbers", lambda _h: (1, 1))
+    assert not reconcile(h).agree
 
 
 def test_reconcile_skips_gkm_for_large_n():
