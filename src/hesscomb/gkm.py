@@ -2,24 +2,16 @@
 
 Vertices are permutations in one-line notation, edges join w to w*(ji) for
 j < i <= h(j), and a class assigns an integer polynomial in t_1..t_n to every
-vertex subject to the divisibility condition along edges.  Ranks of the
-quotient by the positive-degree t-ideal are computed with exact integer
-elimination, one q-degree at a time: the t-ideal in degree d is
-t_1, ..., t_n times the span in degree d - 1, and the span adds to it the
-generators of degree d.  For the special forms the x and y classes generate
-the class ring over Z[t], so the generators of degree d are x_k times the
-generators of degree d - 1 that raised the rank, plus y_1, ..., y_n in the
-degree of the y classes.  A transpose-only h has no chain of its own: the
-mirror w -> w0 w w0, t_a -> t_{n+1-a} carries its moment graph onto that of
-its one-row transpose, so it shares that chain and reads its classes mirrored.
-Above the top degree (the complex dimension) the ranks are 0, and a class
-lies in the t-ideal exactly when it meets the edge conditions.
+vertex subject to the divisibility condition along edges.  Graded ranks and
+t-ideal membership are read from the classes evaluated at the regular point
+lambda = (0, 1, ..., n - 1), filtered by degree (_Filtration).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
@@ -38,7 +30,6 @@ from .hessenberg import (
     box_counts,
     classify_form,
     incomparable_pairs,
-    transpose,
     y_form,
     y_forms,
 )
@@ -48,8 +39,12 @@ from .linalg import IntEchelon
 Perm = tuple[int, ...]
 
 
-@cache
 def all_permutations(n: int) -> tuple[Perm, ...]:
+    return _all_permutations(checked_int(n, "n"))
+
+
+@cache
+def _all_permutations(n: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
@@ -147,12 +142,16 @@ class GkmClass:
     values: dict[Perm, IntPoly] = field(repr=False)
 
     def __post_init__(self):
+        # The values are kept in vertex order, so readers can walk them in it.
         perms = all_permutations(self.n)
-        if set(self.values) != set(perms):
-            raise ShapeMismatch("class must assign a value to every permutation")
+        if tuple(self.values) != perms:
+            if set(self.values) != set(perms):
+                raise ShapeMismatch("class must assign a value to every permutation")
+            object.__setattr__(self, "values", {w: self.values[w] for w in perms})
 
     @classmethod
     def constant(cls, n: int, value: IntPoly | int) -> "GkmClass":
+        checked_int(n, "n")
         if isinstance(value, int):
             value = IntPoly.const(n, value)
         return cls(n, {w: value for w in all_permutations(n)})
@@ -288,17 +287,63 @@ def _class_by_name(h: HessenbergFunction, name: str, variant: str | None) -> Gkm
     return make(h, k)
 
 
+class _Merged(dict):
+    """Exponent tuples with t_a set equal to t_b (0-based a, b), filled on use."""
+
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
+
+    def __missing__(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        f = list(exps)
+        f[self.b] += f[self.a]
+        f[self.a] = 0
+        key = self[exps] = tuple(f)
+        return key
+
+
+def _edge_tests(g: GkmGraph) -> list[tuple[GkmEdge, int, int, int, _Merged]]:
+    """Per edge of g, in order: the edge, the indices of its ends among the
+    vertices, and the index a of its label t_a - t_b with that label's memo
+    of merged exponent tuples."""
+    index = {w: i for i, w in enumerate(g.vertices)}
+    memos: dict[tuple[int, int], _Merged] = {}
+    out = []
+    for e in g.edges:
+        a, b = e.w[e.i - 1] - 1, e.w[e.j - 1] - 1
+        out.append((e, index[e.w], index[e.v], a, memos.setdefault((a, b), _Merged(a, b))))
+    return out
+
+
+def _failing_edge(tests: list, values: list[dict]) -> GkmEdge | None:
+    """The first edge whose label t_a - t_b does not divide the difference of
+    the values at its ends, given in vertex order: it divides exactly when
+    the coefficients cancel on each exponent tuple once t_a is set to t_b."""
+    for e, iw, iv, a, merged in tests:
+        p, q = values[iw], values[iv]
+        if p == q:
+            continue
+        if len(p) == len(q) == 1:
+            # Two different terms cancel only with one coefficient on one tuple.
+            ((ep, cp),), ((eq, cq),) = p.items(), q.items()
+            if cp != cq or (merged[ep] if ep[a] else ep) != (merged[eq] if eq[a] else eq):
+                return e
+            continue
+        acc: dict[tuple[int, ...], int] = {}
+        for terms, sign in ((p, 1), (q, -1)):
+            for exps, coeff in terms.items():
+                key = merged[exps] if exps[a] else exps  # no t_a: merged already
+                acc[key] = acc.get(key, 0) + sign * coeff
+        if any(acc.values()):
+            return e
+    return None
+
+
 def check_gkm_condition(g: GkmGraph, c: GkmClass) -> tuple[bool, GkmEdge | None]:
     """Divisibility of value differences by edge labels; first failure returned."""
     if g.n != c.n:
         raise ShapeMismatch("graph and class sizes differ")
-    for e in g.edges:
-        diff = c.values[e.w] - c.values[e.v]
-        a = e.w[e.i - 1]
-        b = e.w[e.j - 1]
-        if not diff.substitute_equal(a, b).is_zero():
-            return False, e
-    return True, None
+    bad = _failing_edge(_edge_tests(g), [p.terms for p in c.values.values()])
+    return bad is None, bad
 
 
 def verify_relations(h: HessenbergFunction) -> dict[str, bool]:
@@ -377,177 +422,90 @@ def verify_relations(h: HessenbergFunction) -> dict[str, bool]:
 # --- graded ranks modulo the torus ideal -------------------------------------
 
 
-@cache
-def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+class _Filtration:
+    """The class ring of one special-form h at lambda = (0, 1, ..., n - 1),
+    filtered by degree: below[d] spans the values at lambda of the classes of
+    degree less than d, as rows over the n! vertices.
 
-
-@dataclass(frozen=True)
-class _Degree:
-    """One q-degree d: the first column of each degree-d t-monomial, keyed by
-    the monomial and by its reversal, the echelonized t-ideal, and the
-    quotient and fixed-subspace ranks."""
-
-    cols: dict[tuple[int, ...], int]
-    mirror_cols: dict[tuple[int, ...], int]
-    tideal: IntEchelon
-    rank: int
-    fixed: int
-
-
-class _RankChain:
-    """The q-degrees of one special-form h, built in order; a transpose-only
-    h reads those of its one-row transpose (_chain_for).  A row is a class
-    over the columns (degree-d t-monomial, vertex), t-monomial-major: t_i
-    times a row moves each column to the monomial with one more t_i, and x_k
-    times a row moves the column at vertex w to the one with one more t_{w(k)}.
-
-    The span in degree d is the t-ideal plus the generator rows of degree d:
-    x_k times each generator row of degree d - 1 that raised the rank, and
-    y_1, ..., y_n in degree ydeg.  That spans every x^b and x^b y_k row,
-    because x_k maps the t-ideal of degree d - 1 into the one of degree d.
-    So degree d tries at most n * rank(d - 1) + n generator rows, not one
-    per monomial."""
+    The class ring is free over Q[t], and restriction to the vertices becomes
+    onto once the edge labels, nonzero at any lambda with distinct entries,
+    are inverted.  So the values of a homogeneous basis form a basis of
+    Q^{n!}, and degree d adds b_d to the rank.  A class of degree d lies in
+    the t-ideal exactly when it meets the edge conditions and its value lies
+    in below[d], where the basis elements of degree d have no part.  The x
+    and y classes generate the class ring, so degree d adds x_k (w(k) - 1 at
+    w; the 0 keeps rows sparse) times each row that raised the rank in
+    degree d - 1, and y_1..y_n in the degree of the y classes."""
 
     def __init__(self, h: HessenbergFunction):
         form = _generator_form(h)
-        self.h, self.n = h, h.n
+        n, perms = h.n, all_permutations(h.n)
         self.top = sum(box_counts(h))
-        self.ydeg = len(form.factors)
-        perms = all_permutations(h.n)
-        self.vidx = {w: i for i, w in enumerate(perms)}
-        # The column of w0 w w0, for a transpose-only h read off this chain.
-        self.mirror_vidx = {w: self.vidx[_mirror(w)] for w in perms}
-        # Per k, the index i with x_k = t_{i+1} at each vertex.
-        self.xvar = [[w[k] - 1 for w in perms] for k in range(h.n)]
-        # The support of each y_k, with the terms of its value at each vertex.
-        self.yterms = [
-            [(w, p.terms.items()) for w, p in _class_y(h, k, form).values.items() if p]
-            for k in range(1, h.n + 1)
-        ]
-        self.degrees: list[_Degree] = []
-        self.span = IntEchelon()  # the span in the last degree built
-        # The generator rows to multiply by x_1..x_n for the next degree: those
-        # that raised the rank in the last degree built, pure x classes and
-        # y multiples apart.  Degree 0 starts from the class 1.
-        self.xgens = [dict.fromkeys(range(len(perms)), 1)]
-        self.ygens: list[dict[int, int]] = []
+        self.edge_tests = _edge_tests(build_gkm_graph(h))
+        # Per degree d, lambda^e for the exponent tuples e of degree d seen.
+        self.powers: dict[int, dict[tuple[int, ...], int]] = {}
+        xs = [[w[k] - 1 for w in perms] for k in range(n)]
+        span = IntEchelon()
+        self.below = [span.clone()]
+        self.ranks, self.fixed = [], []  # per degree: b_d, and the x rows' part
+        xrows, yrows = [dict.fromkeys(range(len(perms)), 1)], []
+        for d in range(self.top + 1):
+            if d:
+                xrows = [{i: v * x[i] for i, v in row.items() if x[i]} for row in xrows for x in xs]
+                yrows = [{i: v * x[i] for i, v in row.items() if x[i]} for row in yrows for x in xs]
+            if d == len(form.factors):
+                ys = (_class_y(h, k, form).values.values() for k in range(1, n + 1))
+                yrows += [self.evaluate([p.terms for p in y])[1] for y in ys]
+            # The x rows alone span the fixed part, as the sum of the y_k is a
+            # polynomial in the x classes; the y rows go in on top of them.
+            xrows = [row for row in xrows if span.insert(row)]
+            yrows = [row for row in yrows if span.insert(row)]
+            self.fixed.append(len(xrows))
+            self.ranks.append(len(xrows) + len(yrows))
+            self.below.append(span.clone())
 
-    def degree(self, d: int) -> _Degree:
-        while len(self.degrees) <= d:
-            self._grow()
-        return self.degrees[d]
-
-    def _grow(self) -> None:
-        d, n, nverts = len(self.degrees), self.n, len(self.vidx)
-        cols = {mon: i * nverts for i, mon in enumerate(_compositions(d, n))}
-        tideal = IntEchelon()
-        xcands, ycands = self.xgens, self.ygens
-        if d:
-            # Per i, the column offset from each monomial below to t_i times it.
-            shifts = [[cols[a[:i] + (a[i] + 1,) + a[i + 1:]] - col
-                       for a, col in self.degrees[-1].cols.items()] for i in range(n)]
-            for shift in shifts:
-                for row in self.span.pivots.values():
-                    tideal.insert({c + shift[c // nverts]: v for c, v in row.items()})
-            xcands = [self._times_x(shifts, k, row) for row in xcands for k in range(n)]
-            ycands = [self._times_x(shifts, k, row) for row in ycands for k in range(n)]
-        if d == self.ydeg:
-            ycands = ycands + [self._row(cols, supp) for supp in self.yterms]
-
-        # The fixed part is spanned by the t-ideal and the x rows alone: the
-        # sum of the y_k is prod (x_pin - x_l), a polynomial in the x classes.
-        # The quotient adds the y rows on top of them.
-        span = tideal.clone()
-        self.xgens = [row for row in xcands if span.insert(row)]
-        self.ygens = [row for row in ycands if span.insert(row)]
-        fixed = len(self.xgens)
-        self.span = span
-        mirror_cols = {mon[::-1]: col for mon, col in cols.items()}
-        self.degrees.append(_Degree(cols, mirror_cols, tideal, fixed + len(self.ygens), fixed))
-
-    def _times_x(self, shifts, k: int, row: dict[int, int]) -> dict[int, int]:
-        """x_{k+1} times a row of the degree below."""
-        xk, nverts = self.xvar[k], len(self.vidx)
-        return {c + shifts[xk[c % nverts]][c // nverts]: v for c, v in row.items()}
-
-    def _row(self, cols, supp) -> dict[int, int]:
-        """The class whose nonzero values supp lists, as a row."""
-        return {cols[exps] + self.vidx[w]: coeff
-                for w, terms in supp for exps, coeff in terms}
+    def evaluate(self, values: list[dict]) -> tuple[int | None, dict[int, int]]:
+        """The degree d of the first term of the vertex values, given in vertex
+        order, and their values at lambda as a row; (None, {}) when all are
+        0, and ShapeMismatch when a term has a degree other than d."""
+        d = powers = None
+        row = {}
+        for i, terms in enumerate(values):
+            if terms:
+                if powers is None:
+                    d = sum(next(iter(terms)))
+                    powers = self.powers.setdefault(d, {})
+                value = 0
+                for exps, coeff in terms.items():
+                    power = powers.get(exps)
+                    if power is None:
+                        if sum(exps) != d:
+                            raise ShapeMismatch("t-ideal test needs a homogeneous class")
+                        power = powers[exps] = math.prod(a**e for a, e in enumerate(exps))
+                    value += coeff * power
+                if value:
+                    row[i] = value
+        return d, row
 
 
-def _mirror(w: Perm) -> Perm:
-    """w0 w w0: the value n + 1 - w(n + 1 - p) at each position p."""
-    n = len(w)
-    return tuple(n + 1 - v for v in reversed(w))
-
-
-def _chain_for(h: HessenbergFunction) -> _RankChain:
-    """The chain of h, or for a transpose-only h the chain of transpose(h);
-    an h of both forms keeps its own one-row chain.
-
-    w -> w0 w w0 with t_a -> t_{n+1-a} maps the moment graph of h onto that
-    of transpose(h), each edge label to minus a label, x_k to x_{n+1-k} and
-    the transpose-form y_k to the one-row y_{n+1-k}.  So the two class rings,
-    their t-ideals and their x-subrings correspond degree by degree: the
-    ranks of h are those of the chain, and a class of h is a row of it once
-    its vertices are mirrored and each t-monomial's exponents reversed."""
-    tag = classify_form(h)
-    if tag.is_transpose and not tag.is_one_row:
-        return _rank_chain(transpose(h))
-    return _RankChain(h)
-
-
-# One chain per h, for the few most recent h: a long-lived process asking
-# about many h keeps only these.  A transpose-only h shares its transpose's.
-_CHAIN_CACHE_SIZE = 4
-_rank_chain = lru_cache(maxsize=_CHAIN_CACHE_SIZE)(_chain_for)
-
-
-def _t_ideal_contains(chain: _RankChain, h: HessenbergFunction, c: GkmClass, d: int) -> bool:
-    """Membership of a class of h of degree d in the chain's t-ideal, read
-    through the mirror when the chain is that of transpose(h); a term of any
-    other degree has no column there."""
-    level = chain.degree(d)
-    if chain.h == h:
-        cols, vidx = level.cols, chain.vidx
-    else:
-        cols, vidx = level.mirror_cols, chain.mirror_vidx
-    try:
-        row = {cols[exps] + vidx[w]: coeff
-               for w, p in c.values.items() for exps, coeff in p.terms.items()}
-    except KeyError:
-        raise ShapeMismatch("t-ideal test needs a homogeneous class") from None
-    return level.tideal.contains(row)
+# One filtration per h, for the few most recent h: a long-lived process asking
+# about many h keeps only these.
+_FILTRATION_CACHE_SIZE = 4
+_filtration = lru_cache(maxsize=_FILTRATION_CACHE_SIZE)(_Filtration)
 
 
 def in_t_ideal(c: GkmClass, h: HessenbergFunction) -> bool:
     """Whether a homogeneous class lies in (t_1, ..., t_n) times the subring
-    generated by the x and y classes.  Requires a special-form h.
-
-    For a special form the x, y and t classes generate the class ring, which
-    is free over Q[t] on generators of degree at most the top.  So above the
-    top a class lies in the t-ideal exactly when it meets the edge
-    conditions, and the chain is not grown there."""
+    generated by the x and y classes.  Requires a special-form h.  Above the
+    top degree below[d] is all of Q^{n!}: the edge conditions alone decide."""
     if c.n != h.n:
         raise ShapeMismatch(f"class on {c.n} variables, but h = {h} has n = {h.n}")
-    chain = _rank_chain(h)
-    # The degree is read from the first term.
-    d = next((sum(exps) for p in c.values.values() for exps in p.terms), None)
+    f = _filtration(h)
+    values = [p.terms for p in c.values.values()]
+    d, row = f.evaluate(values)
     if d is None:
         return True
-    if d > chain.top:
-        if any(sum(exps) != d for p in c.values.values() for exps in p.terms):
-            raise ShapeMismatch("t-ideal test needs a homogeneous class")
-        return check_gkm_condition(build_gkm_graph(h), c)[0]
-    return _t_ideal_contains(chain, h, c, d)
+    return f.below[min(d, f.top + 1)].contains(row) and _failing_edge(f.edge_tests, values) is None
 
 
 def _checked_half_degree(degree_2d: int) -> int:
@@ -558,27 +516,24 @@ def _checked_half_degree(degree_2d: int) -> int:
     return degree_2d // 2
 
 
-def _level(h: HessenbergFunction, degree_2d: int) -> _Degree | None:
-    """The chain's q-degree d = degree_2d / 2, or None above the top degree
-    (the complex dimension), where H^{2d} vanishes."""
+def _level(h: HessenbergFunction, degree_2d: int) -> tuple[int, int]:
+    """The quotient and fixed ranks in q-degree d = degree_2d / 2; both 0 above
+    the top degree (the complex dimension), where H^{2d} vanishes."""
     d = _checked_half_degree(degree_2d)
-    chain = _rank_chain(h)
-    return chain.degree(d) if d <= chain.top else None
+    f = _filtration(h)
+    return (f.ranks[d], f.fixed[d]) if d <= f.top else (0, 0)
 
 
 def graded_quotient_rank(h: HessenbergFunction, degree_2d: int) -> int:
     """Rank of the degree-2d part of the class algebra modulo (t_1, ..., t_n)."""
-    level = _level(h, degree_2d)
-    return level.rank if level else 0
+    return _level(h, degree_2d)[0]
 
 
 def sn_fixed_rank(h: HessenbergFunction, degree_2d: int) -> int:
     """Rank of the dot-action-invariant subspace of the same quotient."""
-    level = _level(h, degree_2d)
-    return level.fixed if level else 0
+    return _level(h, degree_2d)[1]
 
 
 def betti_numbers(h: HessenbergFunction) -> tuple[int, ...]:
     """Quotient ranks for q-degrees 0 through the top (sum of box counts)."""
-    chain = _rank_chain(h)
-    return tuple(chain.degree(d).rank for d in range(chain.top + 1))
+    return tuple(_filtration(h).ranks)

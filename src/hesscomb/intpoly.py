@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import KOutOfRange, ShapeMismatch
+from .errors import KOutOfRange, ShapeMismatch, checked_int
 
 
 class IntPoly:
@@ -37,7 +37,7 @@ class IntPoly:
     @classmethod
     def var(cls, nvars: int, i: int) -> "IntPoly":
         """The variable with 1-based index i."""
-        if not 1 <= i <= nvars:
+        if not 1 <= checked_int(i, "the variable index") <= nvars:
             raise KOutOfRange("variable index out of range")
         e = [0] * nvars
         e[i - 1] = 1
@@ -96,17 +96,6 @@ class IntPoly:
         return IntPoly(self.nvars, acc)
 
     __rmul__ = __mul__
-
-    def substitute_equal(self, a: int, b: int) -> "IntPoly":
-        """Set variable a equal to variable b (1-based indices)."""
-        acc: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            f = list(e)
-            f[b - 1] += f[a - 1]
-            f[a - 1] = 0
-            key = tuple(f)
-            acc[key] = acc.get(key, 0) + c
-        return IntPoly(self.nvars, acc)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())

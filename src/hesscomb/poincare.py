@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cohomology import decomposition_counts
 from .errors import FormMismatch, OutOfRange
 from .gkm import betti_numbers
-from .hessenberg import HessenbergFunction, _one_row_h1, classify_form
+from .hessenberg import HessenbergFunction, _one_row_h1, classify_form, transpose
 from .qpoly import QPolynomial, q_factorial, q_int
 from .symfunc import csf_schur_by_ptableaux
 from .tableaux import count_syt
@@ -90,13 +90,15 @@ def via_gkm(h: HessenbergFunction) -> QPolynomial:
 
 
 def reconcile(h: HessenbergFunction) -> PoincareReport:
-    """Runs every applicable method and records whether they all agree."""
+    """Runs every applicable method and records whether they all agree; a
+    transpose-only h shares the polynomial of its one-row transpose."""
     tabs = via_ptableaux(h)
+    tag = classify_form(h)
+    one_row = h if tag.is_one_row else transpose(h)
     try:
-        closed, basis = closed_form(h), via_basis_degrees(h)
+        closed, basis = closed_form(one_row), via_basis_degrees(one_row)
     except FormMismatch:
         closed = basis = None
-    special = not classify_form(h).is_general
-    gkm = via_gkm(h) if special and h.n <= GKM_MAX_N else None
+    gkm = via_gkm(h) if not tag.is_general and h.n <= GKM_MAX_N else None
     agree = all(p == tabs for p in (closed, basis, gkm) if p is not None)
     return PoincareReport(h, closed, tabs, basis, gkm, agree)

@@ -24,9 +24,13 @@ BASES = ("monomial", "schur", "elementary", "homogeneous")
 DEGREE_BOUND = 8
 
 
-@cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """Partitions of n in descending lexicographic order, (n) first."""
+    return _partitions_of(checked_int(n, "n"))
+
+
+@cache
+def _partitions_of(n: int) -> tuple[Partition, ...]:
 
     def rec(remaining: int, limit: int):
         if remaining == 0:

@@ -25,7 +25,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+        if any(checked_int(p, "a part") < 1 for p in self.parts):
             raise ShapeMismatch("partition parts must be positive")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ShapeMismatch("partition parts must weakly decrease")
@@ -90,7 +90,7 @@ class PTableau:
         if data.get("orientation", "bottom-up") != "bottom-up":
             raise ShapeMismatch("only bottom-up orientation is supported")
         return cls(
-            Partition(tuple(checked_int(p, "a part") for p in data["shape"])),
+            Partition(tuple(data["shape"])),
             tuple(tuple(checked_int(v, "an entry") for v in r) for r in data["rows"]),
         )
 

@@ -1,13 +1,22 @@
-"""Oracles for ``hesscomb.gkm``: the GKM rank tables built one q-degree at a
-time from every t-monomial, the exact oracle for the degree chain, and the
-four ideal relations checked in the class algebra, the oracle for the
-vertex-by-vertex ``verify_relations``, and the dot action of S_n on classes.
+"""Oracles for ``hesscomb.gkm``.
+
+- ``DegreeOracle``: the graded ranks and t-ideal membership of one q-degree,
+  built from every t-monomial.  It is the exact oracle for the class-ring
+  filtration at lambda = (0, 1, ..., n - 1) behind ``betti_numbers``,
+  ``sn_fixed_rank`` and ``in_t_ideal``.
+- ``check_gkm_condition``: the edge conditions one edge at a time, by
+  polynomial subtraction and substitution, the oracle for the table-driven
+  ``gkm.check_gkm_condition``.
+- ``verify_relations``: the four ideal relations checked in the class
+  algebra, the oracle for the vertex-by-vertex ``gkm.verify_relations``.
+- ``dot_action`` and ``mirror``: S_n acting on classes, and the map that
+  carries the classes of transpose(h) onto those of h.
 
 In q-degree d the t-ideal is spanned directly by the rows t^a x^b and
 t^a x^b y_k for every t-monomial a of positive degree, so it shares nothing
-with the chain's step from degree d - 1.  Columns are (t-monomial, vertex)
-pairs, t-monomial-major.  The full product x_1...x_n equals the constant
-t_1...t_n, so x-exponent vectors with no zero entry are left out.
+with the filtration, which works at one point.  Columns are (t-monomial,
+vertex) pairs, t-monomial-major.  The full product x_1...x_n equals the
+constant t_1...t_n, so x-exponent vectors with no zero entry are left out.
 """
 
 import itertools
@@ -108,6 +117,28 @@ class DegreeOracle:
         return self.tideal.contains(entries)
 
 
+def substitute_equal(p, a, b):
+    """p with the variable t_a set equal to t_b (1-based a and b)."""
+    acc = {}
+    for e, c in p.terms.items():
+        f = list(e)
+        f[b - 1] += f[a - 1]
+        f[a - 1] = 0
+        acc[tuple(f)] = acc.get(tuple(f), 0) + c
+    return IntPoly(p.nvars, acc)
+
+
+def check_gkm_condition(g, c):
+    """(whether c meets the edge conditions, the first edge of g.edges that
+    fails): t_a - t_b divides a difference exactly when the difference
+    vanishes with t_a set equal to t_b."""
+    for e in g.edges:
+        diff = c.values[e.w] - c.values[e.v]
+        if not substitute_equal(diff, e.w[e.i - 1], e.w[e.j - 1]).is_zero():
+            return False, e
+    return True, None
+
+
 def verify_relations(h):
     """The four ideal relations, per applicable form, as identities between
     whole classes built with class arithmetic.  The y-classes are read through
@@ -163,3 +194,13 @@ def dot_action(v, c):
     """(v . c)(w) = c(v^{-1} w) with t_i -> t_{v(i)}: the dot action of S_n."""
     vinv = inverse(v)
     return GkmClass(c.n, {w: permute_vars(c.values[compose(vinv, w)], v) for w in c.values})
+
+
+def mirror(c):
+    """w -> w0 w w0 with t_a -> t_{n+1-a}: a class of transpose(h) as one of
+    h.  The map sends each edge of one moment graph onto an edge of the
+    other and its label to minus a label, so it carries the class ring and
+    the t-ideal of transpose(h) onto those of h, degree by degree."""
+    w0 = tuple(range(c.n, 0, -1))
+    return GkmClass(c.n, {w: permute_vars(c.values[compose(w0, compose(w, w0))], w0)
+                          for w in c.values})

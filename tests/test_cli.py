@@ -452,6 +452,18 @@ def test_poincare_checks_a_transpose_only_h_by_gkm(capsys, monkeypatch):
     assert (code, data["methods_agree"]) == (3, False)
 
 
+def test_poincare_checks_a_transpose_only_h_past_the_gkm_guard(capsys, monkeypatch):
+    # n = 5 is past GKM_MAX_N; the closed form of the one-row transpose is
+    # a second route, so a wrong one makes the request exit 3.
+    code, data = run_json(capsys, ["poincare", "--h", "4,4,4,4,5"])
+    assert (code, data["methods_agree"]) == (0, True)
+    cli._answers.clear()
+    real = poincare.closed_form
+    monkeypatch.setattr(poincare, "closed_form", lambda g: real(g) + QPolynomial.one())
+    code, data = run_json(capsys, ["poincare", "--h", "4,4,4,4,5"])
+    assert (code, data["methods_agree"]) == (3, False)
+
+
 def test_round_trip_failure_exit(capsys, monkeypatch):
     from hesscomb import bijections
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesscomb import (
+    GkmClass,
     HesscombError,
     HessenbergFunction,
     IntPoly,
@@ -16,17 +17,20 @@ from hesscomb import (
     MalformedInput,
     NotInBasis,
     OutOfRange,
+    Partition,
     PTableau,
     ShapeMismatch,
     SymFn,
     XYElement,
     XYMonomial,
     all_hessenberg_functions,
+    all_permutations,
     basis_B3,
     class_t,
     class_x,
     class_y,
     coordinates,
+    count_syt,
     element_to_gkm,
     graded_quotient_rank,
     in_t_ideal,
@@ -34,6 +38,7 @@ from hesscomb import (
     multiply,
     new_hessenberg,
     normal_form,
+    partitions_of,
     sn_fixed_rank,
     syt_with_bottom_pair,
 )
@@ -70,12 +75,12 @@ def test_element_to_gkm_rejects_wrong_n():
 
 
 def test_in_t_ideal_rejects_wrong_n():
-    # The size is checked before a rank chain is built, so a rejected class
+    # The size is checked before a filtration is built, so a rejected class
     # neither builds one nor evicts a live one from the bounded cache.
-    gkm._rank_chain.cache_clear()
+    gkm._filtration.cache_clear()
     with pytest.raises(ShapeMismatch):
         in_t_ideal(class_x(4, 1), H233)
-    info = gkm._rank_chain.cache_info()
+    info = gkm._filtration.cache_info()
     assert (info.currsize, info.misses) == (0, 0)
 
 
@@ -144,18 +149,24 @@ INT_ARGUMENTS = {
     "q_int": q_int,
     "q_factorial": q_factorial,
     "all_hessenberg_functions": lambda v: list(all_hessenberg_functions(v)),
+    "IntPoly.var": lambda v: IntPoly.var(3, v),
+    "GkmClass.constant": lambda v: GkmClass.constant(v, 1),
+    "all_permutations": all_permutations,
+    "partitions_of": partitions_of,
+    "Partition through count_syt": lambda v: count_syt(Partition((v, 1))),
 }
 
 
 @pytest.mark.parametrize("value", [2.0, "2", None, True], ids=repr)
 @pytest.mark.parametrize("call", INT_ARGUMENTS.values(), ids=INT_ARGUMENTS.keys())
 def test_integer_arguments_reject_other_types(call, value):
-    # 2.0 and True compare like 2, so each is refused before any comparison,
-    # and before a rank chain is built.
-    gkm._rank_chain.cache_clear()
+    # 2.0 and True compare like 2, and hash like it in a cache, so each is
+    # refused before any comparison or cache lookup, and before a filtration
+    # is built.
+    gkm._filtration.cache_clear()
     with pytest.raises(MalformedInput, match="must be an integer"):
         call(value)
-    assert gkm._rank_chain.cache_info().currsize == 0
+    assert gkm._filtration.cache_info().currsize == 0
 
 
 def test_coordinates_rejects_non_monomial_basis():

@@ -4,7 +4,8 @@ import math
 import random
 
 import pytest
-from gkm_oracle import DegreeOracle, compose, dot_action, permute_vars
+from gkm_oracle import DegreeOracle, compose, dot_action, mirror, permute_vars
+from gkm_oracle import check_gkm_condition as per_edge_condition
 from gkm_oracle import verify_relations as class_algebra_relations
 
 from hesscomb import (
@@ -173,6 +174,36 @@ def test_perturbed_class_fails_with_witness():
     assert (2, 1, 3) in (edge.w, edge.v)
 
 
+def _perturbed(c, rng):
+    """c with one vertex value replaced by a random one of the same degree."""
+    n = c.n
+    d = next((sum(e) for p in c.values.values() for e in p.terms), 1)
+    spot = rng.choice(all_permutations(n))
+    values = dict(c.values)
+    values[spot] = IntPoly(n, {tuple(_random_exps(rng, n, d)): rng.choice([-1, 1, 2])})
+    return GkmClass(n, values)
+
+
+@pytest.mark.parametrize("h", [h for h in special_forms(4) if build_gkm_graph(h).edges],
+                         ids=str)
+def test_check_gkm_condition_matches_the_per_edge_oracle(h):
+    # The same verdict and the same first failing edge, on classes that meet
+    # the edge conditions, perturbed ones, and ones given in another vertex
+    # order.
+    rng = random.Random(hash(h.values) % 10007)
+    n, g = h.n, build_gkm_graph(h)
+    verdicts = []
+    for d in range(sum(box_counts(h)) + 2):
+        for c in _degree_classes(h, d, len(gkm._generator_form(h).factors), rng):
+            for cls in (c, _perturbed(c, rng)):
+                verdicts.append(per_edge_condition(g, cls))
+                assert check_gkm_condition(g, cls) == verdicts[-1], (h.values, d)
+                shuffled = list(cls.values.items())
+                rng.shuffle(shuffled)
+                assert check_gkm_condition(g, GkmClass(n, dict(shuffled))) == verdicts[-1]
+    assert any(ok for ok, _ in verdicts) and not all(ok for ok, _ in verdicts)
+
+
 def test_dot_action_permutes_y():
     for v in all_permutations(3):
         for k in range(1, 4):
@@ -312,59 +343,64 @@ def test_sn_fixed_rank_matches_nilpotent_census():
         _check_sn_fixed_ranks(h)
 
 
-@pytest.mark.long
 @pytest.mark.parametrize("h", [new_hessenberg(list(values)) for values in (
     (1, 5, 5, 5, 5), (2, 5, 5, 5, 5), (3, 5, 5, 5, 5),
     (4, 4, 4, 4, 5), (4, 4, 4, 5, 5), (4, 4, 5, 5, 5),
     (4, 5, 5, 5, 5), (5, 5, 5, 5, 5),
 )], ids=str)
 def test_ranks_n5_match_ptableaux_and_nilpotent_census(h):
-    try:
-        _check_betti_numbers(h)
-        _check_sn_fixed_ranks(h)
-    finally:
-        # An n = 5 chain holds hundreds of MB; keep one alive at a time.
-        gkm._rank_chain.cache_clear()
+    _check_betti_numbers(h)
+    _check_sn_fixed_ranks(h)
 
 
-@pytest.mark.parametrize("h", [new_hessenberg([2, 4, 4, 4]), new_hessenberg([4, 4, 4, 4])],
-                         ids=str)
+@pytest.mark.parametrize("h", [new_hessenberg([2, 4, 4, 4]), new_hessenberg([4, 4, 4, 4]),
+                               new_hessenberg([3, 3, 4, 4])], ids=str)
 def test_generator_rows_tried_follow_from_the_rank_below(monkeypatch, h):
-    # Degree d tries x_1..x_n times each generator row that raised the rank
-    # in degree d - 1, and y_1..y_n once: at most n * rank(d - 1) + n rows.
-    # A row per monomial x^b and x^b y_k would try C(d + n - 1, n - 1) (n + 1).
-    inserted = []
-    real_insert = IntEchelon.insert
+    # Degree d tries x_1..x_n times each row that raised the rank in degree
+    # d - 1, and y_1..y_n once: at most n * b_{d-1} + n rows, all into one
+    # span, which is copied once per degree.  A row per monomial x^b and
+    # x^b y_k would try C(d + n - 1, n - 1) (n + 1).
+    spans, tried = [], []
+    real_insert, real_clone = IntEchelon.insert, IntEchelon.clone
 
     def counting_insert(self, entries):
-        inserted.append(self)
+        spans.append(self)
         return real_insert(self, entries)
 
+    def marking_clone(self):
+        tried.append(len(spans))
+        return real_clone(self)
+
     monkeypatch.setattr(IntEchelon, "insert", counting_insert)
-    chain = gkm._RankChain(h)
-    n, below = h.n, 0
-    for d in range(sum(box_counts(h)) + 2):
-        inserted.clear()
-        level = chain.degree(d)
-        generator_rows = sum(e is chain.span for e in inserted)
-        assert generator_rows + sum(e is level.tideal for e in inserted) == len(inserted)
-        assert generator_rows <= n * below + n, (d, generator_rows, below)
-        below = level.rank
+    monkeypatch.setattr(IntEchelon, "clone", marking_clone)
+    f = gkm._Filtration(h)
+    top = sum(box_counts(h))
+    # One copy of the empty span, F_{-1}, then one per degree 0..top.
+    assert len(tried) == top + 2 and tried[0] == 0
+    assert len(set(map(id, spans))) == 1
+    below = 0
+    for d in range(top + 1):
+        rows = tried[d + 1] - tried[d]
+        assert rows <= h.n * below + h.n, (d, rows, below)
+        below = f.ranks[d]
+    assert f.below[-1].rank == math.factorial(h.n)
 
 
 def test_ranks_above_the_top_degree_grow_no_chain():
     # H^{2d} vanishes above the complex dimension, so the ranks there are 0
-    # and the chain stops at the top degree.
-    one_row, mirrored = new_hessenberg([2, 4, 4, 4]), new_hessenberg([3, 3, 4, 4])
+    # and the filtration stops at the top degree, where it is all of Q^{n!}.
+    # A transpose-only h builds its own from its transpose-form y classes.
+    one_row, transpose_only = new_hessenberg([2, 4, 4, 4]), new_hessenberg([3, 3, 4, 4])
     top = sum(box_counts(one_row))
-    gkm._rank_chain.cache_clear()
-    for h in (one_row, mirrored):
+    gkm._filtration.cache_clear()
+    for h in (one_row, transpose_only):
         betti_numbers(h)
         assert graded_quotient_rank(h, 2 * (top + 5)) == 0
         assert sn_fixed_rank(h, 2 * (top + 5)) == 0
-    # The two share the chain of (2,4,4,4).
-    assert gkm._rank_chain(mirrored) is gkm._rank_chain(one_row)
-    assert len(gkm._rank_chain(one_row).degrees) == top + 1
+        f = gkm._filtration(h)
+        assert len(f.ranks) == top + 1 and len(f.below) == top + 2
+        assert f.below[-1].rank == math.factorial(4)
+    assert gkm._filtration.cache_info().misses == 2
 
 
 def test_in_t_ideal_rejects_an_inhomogeneous_class():
@@ -409,14 +445,13 @@ def test_in_t_ideal_above_the_top_degree():
 
 @pytest.mark.parametrize("h", [h for h in special_forms(4) if h.n > 1], ids=str)
 def test_in_t_ideal_above_the_top_agrees_with_the_chain(h):
-    # above the top in_t_ideal reads the edge conditions; the chain grown that
-    # far answers the same.  A spike at one vertex breaks the edge conditions
-    # unless the graph has no edges.
+    # Above the top the filtration is all of Q^{n!}, so the edge conditions
+    # alone decide; the per-edge oracle answers the same.  A spike at one
+    # vertex breaks the edge conditions unless the graph has no edges.
     n, top = h.n, sum(box_counts(h))
-    edgeless = not build_gkm_graph(h).edges
+    g = build_gkm_graph(h)
     ydeg = len(gkm._generator_form(h).factors)
     rng = random.Random(hash(h.values) % 10007)
-    chain = gkm._rank_chain(h)
     for d in (top + 1, top + 2):
         xs = [class_x(n, rng.randint(1, n)) for _ in range(d)]
         c = math.prod(xs, start=GkmClass.constant(n, 1))
@@ -424,17 +459,17 @@ def test_in_t_ideal_above_the_top_agrees_with_the_chain(h):
         spot = rng.choice(all_permutations(n))
         spike = GkmClass(n, {w: IntPoly(n, {(d,) + (0,) * (n - 1): 1}) if w == spot
                              else IntPoly.zero(n) for w in all_permutations(n)})
-        for cls, member in ((c, True), (c + spike, edgeless)):
-            assert in_t_ideal(cls, h) == gkm._t_ideal_contains(chain, h, cls, d) == member, d
+        for cls, member in ((c, True), (c + spike, not g.edges)):
+            assert in_t_ideal(cls, h) == per_edge_condition(g, cls)[0] == member, d
 
 
 def test_in_t_ideal_far_above_the_top_degree_grows_no_chain():
     h = new_hessenberg([2, 4, 4, 4])
     top = sum(box_counts(h))
-    gkm._rank_chain.cache_clear()
+    gkm._filtration.cache_clear()
     x1 = class_x(4, 1)
     assert in_t_ideal(math.prod([x1] * 12, start=GkmClass.constant(4, 1)), h)
-    assert len(gkm._rank_chain(h).degrees) <= top + 1
+    assert len(gkm._filtration(h).below) == top + 2
     # the checks keep their order above the top: size, form, homogeneity
     high = math.prod([x1] * (top + 2), start=GkmClass.constant(4, 1))
     with pytest.raises(ShapeMismatch):
@@ -443,6 +478,14 @@ def test_in_t_ideal_far_above_the_top_degree_grows_no_chain():
         in_t_ideal(high + x1, new_hessenberg([2, 3, 4, 4]))
     with pytest.raises(ShapeMismatch):
         in_t_ideal(high + x1, h)
+
+
+def test_in_t_ideal_in_degree_0_holds_only_0():
+    for h in (H233, new_hessenberg([3, 3, 4, 4])):
+        n = h.n
+        assert in_t_ideal(GkmClass.zero(n), h)
+        assert not in_t_ideal(GkmClass.constant(n, 1), h)
+        assert not in_t_ideal(GkmClass.constant(n, -3), h)
 
 
 def test_form_mismatch_names_neither_form_on_general_h():
@@ -514,32 +557,21 @@ LARGEST = ((3, 4, 4, 4), (4, 4, 4, 4))
     for h in special_forms(4)
 ])
 def test_degree_chain_matches_t_monomial_oracle(h):
-    # The chain is built on h itself; the public answers for a transpose-only
-    # h come from the chain of transpose(h), read through the mirror.
+    # The filtration is built on h itself, transpose-only h included; its
+    # ranks and t-ideal answers are compared degree by degree, up to top + 1,
+    # with an oracle built from every t-monomial.
     rng = random.Random(hash(h.values) % 10007)
     answers = []
-    chain = gkm._RankChain(h)
     for d in range(sum(box_counts(h)) + 2):
         oracle = DegreeOracle(h, d)
-        level = chain.degree(d)
-        assert (level.rank, level.fixed) == oracle.ranks(), (h.values, d)
         assert (graded_quotient_rank(h, 2 * d), sn_fixed_rank(h, 2 * d)) == oracle.ranks()
-        # The t-ideal as a space: the same rank, and each side contains the
-        # other's rows, on the same (t-monomial, vertex) columns.
-        nverts = len(oracle.vidx)
-        assert level.cols == {mon: i * nverts for mon, i in oracle.midx.items()}
-        assert chain.vidx == oracle.vidx
-        assert level.tideal.rank == oracle.tideal.rank, (h.values, d)
-        assert all(oracle.tideal.contains(row) for row in level.tideal.pivots.values())
-        assert all(level.tideal.contains(row) for row in oracle.tideal.pivots.values())
         for c in _degree_classes(h, d, oracle.ydeg, rng):
             answers.append(oracle.in_t_ideal(c))
-            assert gkm._t_ideal_contains(chain, h, c, d) == answers[-1], (h.values, d)
             assert in_t_ideal(c, h) == answers[-1], (h.values, d)
     assert any(answers) and not all(answers)
 
 
-# --- transpose-only h answered from the chain of transpose(h) -----------------
+# --- transpose-only h against its one-row transpose, through the mirror -------
 
 
 def transpose_only(max_n):
@@ -564,8 +596,7 @@ def test_mirror_maps_edges_onto_the_transpose_graph(h):
     assert len(edges) == len(target)
     images = set()
     for e in edges:
-        key = frozenset((gkm._mirror(e.w), gkm._mirror(e.v)))
-        assert gkm._mirror(e.w) == compose(w0, compose(e.w, w0))
+        key = frozenset((compose(w0, compose(e.w, w0)), compose(w0, compose(e.v, w0))))
         label = permute_vars(e.label(), w0)
         assert target[key] in (label, -label), (h.values, e)
         images.add(key)
@@ -577,37 +608,37 @@ def test_mirror_maps_edges_onto_the_transpose_graph(h):
     pytest.param(new_hessenberg([4, 4, 4, 4, 5]), marks=pytest.mark.long),
 ], ids=str)
 def test_mirrored_answers_match_the_direct_chain(h):
-    # The chain built on h itself is the oracle for the shared chain of
-    # transpose(h), read through the mirrored rows at every degree up to
-    # top + 1, and for the public answers.
+    # A transpose-only h builds its own filtration from its own y classes.
+    # The mirror carries the classes of its one-row transpose onto classes
+    # of h, so both give the same ranks, and a class of transpose(h) lies in
+    # its t-ideal exactly when its mirror lies in that of h.
     rng = random.Random(hash(h.values) % 10007)
-    gkm._rank_chain.cache_clear()
-    direct = gkm._RankChain(h)
-    shared = gkm._rank_chain(h)
-    assert shared.h == transpose(h)
+    t = transpose(h)
+    top = sum(box_counts(h))
+    ydeg = len(gkm._generator_form(t).factors)
+    assert betti_numbers(h) == betti_numbers(t)
     answers = []
-    for d in range(direct.top + 2):
-        level = direct.degree(d)
-        assert (graded_quotient_rank(h, 2 * d), sn_fixed_rank(h, 2 * d)) == (
-            level.rank, level.fixed), (h.values, d)
-        for c in _degree_classes(h, d, direct.ydeg, rng):
-            answers.append(gkm._t_ideal_contains(direct, h, c, d))
-            assert gkm._t_ideal_contains(shared, h, c, d) == answers[-1], (h.values, d)
-            assert in_t_ideal(c, h) == answers[-1], (h.values, d)
+    for d in range(top + 2):
+        assert sn_fixed_rank(h, 2 * d) == sn_fixed_rank(t, 2 * d), (h.values, d)
+        for c in _degree_classes(t, d, ydeg, rng):
+            answers.append(in_t_ideal(c, t))
+            assert in_t_ideal(mirror(c), h) == answers[-1], (h.values, d)
     assert any(answers) and not all(answers)
-    gkm._rank_chain.cache_clear()
 
 
-def test_transpose_only_h_shares_its_transposes_chain():
-    # Every cached value is a chain, and a transpose-only h's entry is the
-    # chain of its one-row transpose itself, so live chains never outnumber
-    # the entries.
-    gkm._rank_chain.cache_clear()
-    for h in special_forms(4):
-        assert type(gkm._rank_chain(h)) is gkm._RankChain, h.values
-    for t in transpose_only(4):
-        assert gkm._rank_chain(t) is gkm._rank_chain(transpose(t)), t.values
-    gkm._rank_chain.cache_clear()
+@pytest.mark.long
+def test_in_t_ideal_n5_transpose_only_matches_t_monomial_oracle():
+    # The t-monomial oracle at n = 5, in the degrees it finishes in seconds.
+    h = new_hessenberg([4, 4, 4, 4, 5])
+    rng = random.Random(5)
+    answers = []
+    for d in range(3):
+        oracle = DegreeOracle(h, d)
+        assert (graded_quotient_rank(h, 2 * d), sn_fixed_rank(h, 2 * d)) == oracle.ranks()
+        for c in _degree_classes(h, d, oracle.ydeg, rng):
+            answers.append(oracle.in_t_ideal(c))
+            assert in_t_ideal(c, h) == answers[-1], d
+    assert any(answers) and not all(answers)
 
 
 def element_to_gkm_e1(h):

@@ -137,15 +137,30 @@ def test_reconcile_general_h():
 
 @pytest.mark.parametrize("values", [(2, 2, 3), (3, 3, 3, 4), (3, 3, 4, 4)], ids=str)
 def test_reconcile_runs_gkm_on_transpose_only_h(monkeypatch, values):
-    # The closed form and the basis route need a one-row h; the GKM route
-    # still checks the tableau route on the transpose form.
+    # The closed form and the basis route read the one-row transpose; the
+    # GKM route reads the transpose form itself.
     h = new_hessenberg(list(values))
     report = reconcile(h)
-    assert report.closed_form is None and report.via_basis is None
+    assert report.closed_form == closed_form(transpose(h))
+    assert report.via_basis == via_basis_degrees(transpose(h))
     assert report.via_gkm is not None
-    assert report.via_gkm == report.via_tableaux
+    assert report.closed_form == report.via_basis == report.via_gkm == report.via_tableaux
     assert report.agree
     monkeypatch.setattr(poincare, "betti_numbers", lambda _h: (1, 1))
+    assert not reconcile(h).agree
+
+
+@pytest.mark.parametrize("values", [(4, 4, 4, 4, 5), (4, 4, 5, 5, 5)], ids=str)
+def test_reconcile_checks_a_transpose_only_h_past_the_gkm_guard(monkeypatch, values):
+    # Past GKM_MAX_N the one-row transpose still gives two routes besides
+    # the tableaux, so a wrong one is seen.
+    h = new_hessenberg(list(values))
+    report = reconcile(h)
+    assert report.via_gkm is None
+    assert report.closed_form == report.via_basis == report.via_tableaux
+    assert report.agree
+    real = poincare.via_basis_degrees
+    monkeypatch.setattr(poincare, "via_basis_degrees", lambda g: real(g) + QPolynomial.one())
     assert not reconcile(h).agree
 
 

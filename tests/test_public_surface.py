@@ -16,8 +16,9 @@ PACKAGE = ROOT / "src" / "hesscomb"
 # Public on purpose with no reader outside the tests:
 # - element_to_gkm bridges the rewrite engine to moment-graph arithmetic, the
 #   route by which tests check one against the other;
-# - graded_quotient_rank is the quotient rank of the degree chain, the output
-#   the kernel route is measured against.
+# - graded_quotient_rank is the rank that degree d adds to the class-ring
+#   filtration at a regular point, the output the kernel route is measured
+#   against.
 TEST_ONLY = {"element_to_gkm", "graded_quotient_rank"}
 
 

@@ -29,7 +29,7 @@ from hesscomb.cohomology import (
     permutation_orbits,
     transition_blocks,
 )
-from hesscomb.hessenberg import new_hessenberg, transpose
+from hesscomb.hessenberg import new_hessenberg
 
 
 def one_row(n, h1):
@@ -118,9 +118,9 @@ def test_blocks_and_orbits_share_one_y_n_chain(monkeypatch):
     assert len(calls) == len(_y_sector_xparts(h))
 
 
-def test_caches_stay_within_their_bounds(monkeypatch):
+def test_caches_stay_within_their_bounds():
     cohomology._one_row_ring.cache_clear()
-    gkm._rank_chain.cache_clear()
+    gkm._filtration.cache_clear()
     forms = one_row_forms(2, 5)
     assert len(forms) > cohomology._RING_CACHE_SIZE
     for h in forms:
@@ -128,43 +128,27 @@ def test_caches_stay_within_their_bounds(monkeypatch):
         assert cohomology._one_row_ring.cache_info().currsize <= cohomology._RING_CACHE_SIZE
     assert cohomology._one_row_ring.cache_info().currsize == cohomology._RING_CACHE_SIZE
     forms = one_row_forms(2, 4)
-    assert len(forms) > gkm._CHAIN_CACHE_SIZE
+    assert len(forms) > gkm._FILTRATION_CACHE_SIZE
     for h in forms:
         gkm.graded_quotient_rank(h, 0)
-        assert gkm._rank_chain.cache_info().currsize <= gkm._CHAIN_CACHE_SIZE
-    assert gkm._rank_chain.cache_info().currsize == gkm._CHAIN_CACHE_SIZE
+        assert gkm._filtration.cache_info().currsize <= gkm._FILTRATION_CACHE_SIZE
+    assert gkm._filtration.cache_info().currsize == gkm._FILTRATION_CACHE_SIZE
 
-    # A transpose-only h is a mirror over the chain of transpose(h): asked
-    # right after that h, it builds no chain, and each cache entry keeps at
-    # most one chain alive, so live chains never outnumber the entries.
-    built, live = [], weakref.WeakSet()
-
-    class CountingChain(gkm._RankChain):
-        def __init__(self, h):
-            super().__init__(h)
-            built.append(h.values)
-            live.add(self)
-
-    monkeypatch.setattr(gkm, "_RankChain", CountingChain)
-    gkm._rank_chain.cache_clear()
-    pairs = [(new_hessenberg(a), new_hessenberg(b)) for a, b in (
-        ((1, 3, 3), (2, 2, 3)), ((1, 4, 4, 4), (3, 3, 3, 4)), ((2, 4, 4, 4), (3, 3, 4, 4)),
+    # Every h, a transpose-only one included, builds its own filtration once
+    # while it stays cached, and an evicted filtration is freed, so live
+    # filtrations never outnumber the entries.
+    gkm._filtration.cache_clear()
+    live = weakref.WeakSet()
+    forms = [new_hessenberg(values) for values in (
+        (1, 3, 3), (2, 2, 3), (1, 4, 4, 4), (3, 3, 3, 4), (2, 4, 4, 4), (3, 3, 4, 4),
     )]
-    for one_row_h, transpose_h in pairs:
-        assert transpose(one_row_h) == transpose_h
-        gkm.betti_numbers(one_row_h)
-        gkm.betti_numbers(transpose_h)
-        assert built[-1] == one_row_h.values
+    for h in forms:
+        gkm.betti_numbers(h)
+        gkm.in_t_ideal(gkm.class_x(h.n, 1), h)
+        live.add(gkm._filtration(h))
         gc.collect()
-        assert len(live) <= gkm._rank_chain.cache_info().currsize <= gkm._CHAIN_CACHE_SIZE
-    assert len(built) == len(pairs)
-    # A transpose asked first builds the chain of transpose(h) and caches both.
-    gkm._rank_chain.cache_clear()
+        assert len(live) <= gkm._filtration.cache_info().currsize <= gkm._FILTRATION_CACHE_SIZE
+    assert gkm._filtration.cache_info().misses == len(forms)
+    gkm._filtration.cache_clear()
     gc.collect()
     assert not live
-    built.clear()
-    gkm.betti_numbers(new_hessenberg([3, 3, 4, 4]))
-    gkm.betti_numbers(new_hessenberg([2, 4, 4, 4]))
-    assert built == [(2, 4, 4, 4)]
-    assert gkm._rank_chain.cache_info().currsize == 2
-    gkm._rank_chain.cache_clear()
