@@ -248,7 +248,9 @@ def _element_key(e: XYElement, ydeg: int):
 
 
 def _staircase_monomials(bounds: list[int]) -> list[tuple[int, ...]]:
-    """All exponent vectors with 0 <= e_i <= bounds[i], in reversed-lex order."""
+    """All exponent vectors with 0 <= e_i <= bounds[i], in reversed-lex order.
+    Sorting such a list by degree (sort is stable) gives the order of
+    _element_key: degree, then the exponents read from x_n down."""
     ranges = [range(b + 1) for b in reversed(bounds)]
     return [exps[::-1] for exps in itertools.product(*ranges)]
 
@@ -271,9 +273,7 @@ def _b1_exponents(h: HessenbergFunction) -> list[tuple[int, ...]]:
 
 def basis_B1(h: HessenbergFunction) -> BasisSet:
     """Staircase monomials (exponent of x_j at most n-j) avoiding x_1...x_{h(1)}."""
-    h1 = _one_row_h1(h)
-    elems = [XYElement.monomial(XYMonomial(exps)) for exps in _b1_exponents(h)]
-    elems.sort(key=lambda e: _element_key(e, h1 - 1))
+    elems = [XYElement.monomial(XYMonomial(exps)) for exps in sorted(_b1_exponents(h), key=sum)]
     return BasisSet("B1", h, tuple(elems), y_form(h, "one-row"))
 
 
@@ -290,15 +290,14 @@ def _y_sector_xparts(h: HessenbergFunction) -> list[tuple[int, ...]]:
 
 def basis_B2(h: HessenbergFunction) -> BasisSet:
     """x-parts in x_2..x_n (exponent of x_v at most v-2, avoiding the factor
-    x_{h(1)+1}...x_n) times y_k for k = 1..n-1."""
-    h1 = _one_row_h1(h)
+    x_{h(1)+1}...x_n) times y_k for k = 1..n-1; y_1 comes last, as
+    _y_rank orders it."""
     n = h.n
     elems = [
         XYElement.monomial(XYMonomial(exps, k))
-        for exps in _y_sector_xparts(h)
-        for k in range(1, n)
+        for exps in sorted(_y_sector_xparts(h), key=sum)
+        for k in (*range(2, n), 1)
     ]
-    elems.sort(key=lambda e: _element_key(e, h1 - 1))
     return BasisSet("B2", h, tuple(elems), y_form(h, "one-row"))
 
 
@@ -306,18 +305,12 @@ def basis_B3(h: HessenbergFunction) -> BasisSet:
     """Same x-parts as B2 times the differences y_{k+1} - y_1, k = 1..n-1:
     y_{k+1} - y_1 is the Specht polynomial of shape (n-1, 1) in the y
     variables, for the standard tableau with 1 and k + 1 in its column."""
-    h1 = _one_row_h1(h)
     n = h.n
-    elems = []
-    for exps in _y_sector_xparts(h):
-        for k in range(1, n):
-            elems.append(
-                XYElement(
-                    n,
-                    {XYMonomial(exps, k + 1): 1, XYMonomial(exps, 1): -1},
-                )
-            )
-    elems.sort(key=lambda e: _element_key(e, h1 - 1))
+    elems = [
+        XYElement(n, {XYMonomial(exps, k + 1): 1, XYMonomial(exps, 1): -1})
+        for exps in sorted(_y_sector_xparts(h), key=sum)
+        for k in range(1, n)
+    ]
     return BasisSet("B3", h, tuple(elems), y_form(h, "one-row"))
 
 
@@ -329,8 +322,10 @@ def _nilpotent_exponents(h: HessenbergFunction) -> list[tuple[int, ...]]:
 
 def basis_nilpotent(h: HessenbergFunction) -> BasisSet:
     """Monomials with exponent of x_k at most h(k) - k; valid for every h."""
-    elems = [XYElement.monomial(XYMonomial(exps)) for exps in _nilpotent_exponents(h)]
-    elems.sort(key=lambda e: _element_key(e, 0))
+    elems = [
+        XYElement.monomial(XYMonomial(exps))
+        for exps in sorted(_nilpotent_exponents(h), key=sum)
+    ]
     return BasisSet("Nh", h, tuple(elems))
 
 
@@ -515,7 +510,7 @@ class TransitionBlock:
     def determinant(self) -> int:
         if any(len(row) != len(self.matrix) for row in self.matrix):
             raise NotSquare("non-square transition block")
-        return bareiss_det([list(row) for row in self.matrix])
+        return bareiss_det(self.matrix)
 
     def to_csv(self) -> str:
         lines = [f"degree,{self.degree}"]
@@ -556,9 +551,9 @@ def coordinates(e: XYElement, elements: list[XYElement]) -> list[int]:
     return _coordinates_in(e, _basis_index(elements), len(elements))
 
 
-# One context per h, shared by the reports below; contexts are small (bases and
-# one y_n normal form per y-sector x-part), and the bound keeps a long-lived
-# process from holding one for every h it has seen.
+# One context per h, shared by the reports below; contexts are small (bases,
+# n + 2 packed rule tables and one pure-x part per y-sector x-part), and the
+# bound keeps a long-lived process from holding one for every h it has seen.
 _RING_CACHE_SIZE = 8
 
 
@@ -567,60 +562,166 @@ class _OneRowRing:
     B1 and B2, and the normal forms of x^e y_n for the y-sector x-parts e.
 
     B1 and B2 monomials are normal, and so is every monomial of a B3 element
-    but x^e y_n.  Its normal form is built on first use from the one a degree
-    lower: NF(x^e y_n) = NF(x_v NF(x^(e - eps_v) y_n)), v the highest variable
-    in e.  That is exact because NF is linear and sends the ideal to 0; the
-    x-parts are closed under lowering an exponent, so the chain stays inside
-    them."""
+    but x^e y_n.  Each x^e y_k with k < n is a B2 monomial, so
+    NF(x^e y_n) = P_e - sum_{k<n} x^e y_k, where the pure-x part
+    P_e = NF(x^e prod_{l=2}^{h(1)} (x_1 - x_l)) lies in the span of B1.
+
+    P_e is kept on packed monomials, one int each: the exponent of x_v sits
+    in field v of `width` bits, x_n in the top field, so ints compare as the
+    pure-x rewrite order does.  A field's top bit is a guard above room for
+    the ring's top degree, the largest exponent a homogeneous part reaches,
+    so adding a rule's packed exponent change never carries into the next
+    field.  P_e is built on first use from the part a degree lower,
+    P_e = NF(x_v P_(e - eps_v)), by _reduce: the pure-x rules of normal_form
+    on packed tables, highest monomial first.  The x-parts are closed under
+    lowering an exponent, so the chain stays inside them.  v is the lowest
+    variable in e: x_v times a B1 monomial leaves B1 only at the bound
+    n + 1 - v, which is highest for the lowest v (x_n leaves it always)."""
 
     def __init__(self, h: HessenbergFunction):
-        self.h = h
-        self.n = h.n
+        n = self.n = h.n
+        h1 = _one_row_h1(h)
         b1, b2, b3 = basis_B1(h), basis_B2(h), basis_B3(h)
         self.b1 = b1.elements
         self.d1, self.d2, self.d3 = _by_degree(b1), _by_degree(b2), _by_degree(b3)
         self.index = _basis_index(b1.elements + b2.elements)
-        self._yn: dict[tuple[int, ...], XYElement] = {}
+        w = self.width = max(max(self.d1.keys() | self.d3.keys()), n).bit_length() + 1
+        guard = 1 << (w - 1)
+        # B1 position by packed monomial; B2 positions of x^e y_1..x^e y_(n-1) by e
+        self.b1_at = {self._pack(m.xexp): pos for m, pos in self.index.items() if m.y is None}
+        self.y_at: dict[tuple[int, ...], list[int]] = {}
+        for m, pos in self.index.items():
+            if m.y is not None:
+                self.y_at.setdefault(m.xexp, []).append(pos)
+        # Adding _over sets the guard of field v exactly when x_v^(n+1-v)
+        # divides the monomial; adding _excl sets the guards of fields
+        # 1..h(1) exactly when x_1...x_h(1) does.
+        self._over = self._pack([guard - (n + 1 - v) for v in range(1, n + 1)])
+        self._guards = self._pack([guard] * n)
+        self._excl = self._pack([guard - 1] * h1)
+        self._excl_guards = self._pack([guard] * h1)
+        self._straighten = [None] + [
+            self._packed(_straighten_rule(v, n + 1 - v, 1, v, n)) for v in range(1, n + 1)
+        ]
+        self._exclusion = self._packed(_exclusion_rule(h1, n))
+        self._difference = dict(self._packed(_difference_product(h1, n)))
+        self._parts: dict[tuple[int, ...], dict[int, int]] = {}
 
-    def yn_form(self, exps: tuple[int, ...]) -> XYElement:
-        """The normal form of x^exps y_n."""
-        form = self._yn.get(exps)
-        if form is None:
-            v = max((i for i, e in enumerate(exps) if e), default=None)
-            if v is None:
-                form = normal_form(XYElement.monomial(XYMonomial(exps, self.n)), self.h)
+    def _pack(self, exps) -> int:
+        return sum(e << (self.width * i) for i, e in enumerate(exps))
+
+    def _unpack(self, m: int) -> tuple[int, ...]:
+        mask = (1 << self.width) - 1
+        return tuple((m >> (self.width * i)) & mask for i in range(self.n))
+
+    def _packed(self, table: _Table) -> tuple[tuple[int, int], ...]:
+        return tuple((self._pack(delta), c) for delta, c in table)
+
+    def _reduce(self, pending: dict[int, int]) -> dict[int, int]:
+        """The normal form of a pure-x polynomial on packed monomials, which
+        it consumes.  Each monomial is rewritten once, highest first, by the
+        rule _find_rewrite picks for it.  Raises NonTerminating if a rule
+        fails to lower the monomial."""
+        over, guards, excl, excl_guards = self._over, self._guards, self._excl, self._excl_guards
+        straighten, exclusion, w = self._straighten, self._exclusion, self.width
+        heap = [-m for m in pending]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            m = -heapq.heappop(heap)
+            c = pending.pop(m)
+            if not c:
+                continue
+            hit = (m + over) & guards
+            if hit:
+                table = straighten[hit.bit_length() // w]
+            elif (m + excl) & excl_guards == excl_guards:
+                table = exclusion
             else:
-                below = self.yn_form(exps[:v] + (exps[v] - 1,) + exps[v + 1:])
-                form = normal_form(XYElement(self.n, {
-                    XYMonomial(m.xexp[:v] + (m.xexp[v] + 1,) + m.xexp[v + 1:], m.y): c
-                    for m, c in below.terms.items()
-                }), self.h)
-            self._yn[exps] = form
+                out[m] = c
+                continue
+            for delta, cr in table:
+                m2 = m + delta
+                c2 = pending.get(m2)
+                if c2 is not None:
+                    pending[m2] = c2 + c * cr
+                elif m2 < m:
+                    pending[m2] = c * cr
+                    heapq.heappush(heap, -m2)
+                else:
+                    raise NonTerminating(
+                        f"rewriting {XYMonomial(self._unpack(m)).pretty()} produced "
+                        f"{XYMonomial(self._unpack(m2)).pretty()}, which is not lower"
+                    )
+        return out
+
+    def part(self, exps: tuple[int, ...]) -> dict[int, int]:
+        """P_exps on packed monomials."""
+        form = self._parts.get(exps)
+        if form is None:
+            v = next((i for i, e in enumerate(exps) if e), None)
+            if v is None:
+                form = self._reduce(dict(self._difference))
+            else:
+                step = 1 << (self.width * v)
+                below = self.part(exps[:v] + (exps[v] - 1,) + exps[v + 1:])
+                form = self._reduce({m + step: c for m, c in below.items()})
+            self._parts[exps] = form
         return form
 
-    def reduced(self, e: XYElement) -> XYElement:
-        """The normal form of a combination of B1, B2 and B3 monomials: each
-        x^e y_n term replaced by its normal form, the rest kept."""
-        out = e
-        for m, c in e.terms.items():
-            if m.y == self.n:
-                out = out + (self.yn_form(m.xexp) - XYElement.monomial(m)).scale(c)
+    def part_positions(self, exps: tuple[int, ...]) -> dict[int, int]:
+        """P_exps in coordinates: B1 position -> coefficient."""
+        out = {}
+        for m, c in self.part(exps).items():
+            pos = self.b1_at.get(m)
+            if pos is None:
+                raise NotInBasis(
+                    f"normal form of {XYMonomial(exps, self.n).pretty()} leaves the basis list"
+                )
+            out[pos] = c
         return out
+
+    def coordinates(self, e: XYElement) -> dict[int, int]:
+        """The normal form of a combination of B1, B2 and B3 monomials, as
+        position in the B1-and-B2 index -> coefficient: each x^e y_n term
+        replaced by P_e - sum_{k<n} x^e y_k, the rest kept."""
+        out: dict[int, int] = {}
+        for m, c in e.terms.items():
+            if m.y == self.n and m.xexp in self.y_at:
+                terms = [(pos, c * cp) for pos, cp in self.part_positions(m.xexp).items()]
+                terms += [(pos, -c) for pos in self.y_at[m.xexp]]
+            elif m in self.index:
+                terms = [(self.index[m], c)]
+            else:
+                raise NotInBasis(f"monomial {m.pretty()} outside the basis list")
+            for pos, v in terms:
+                out[pos] = out.get(pos, 0) + v
+        return {pos: v for pos, v in out.items() if v}
 
 
 _one_row_ring = lru_cache(maxsize=_RING_CACHE_SIZE)(_OneRowRing)
 
 
 def transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
-    """Per degree, the matrix of B1 and B3 elements over B1 and B2 coordinates."""
+    """Per degree, the matrix of B1 and B3 elements over B1 and B2 coordinates.
+    B1 monomials are normal, so the B1 columns are the unit columns of the
+    B1 rows, which come first."""
     ring = _one_row_ring(h)
     blocks = []
     for d in sorted(set(ring.d1) | set(ring.d3)):
-        rows = ring.d1.get(d, []) + ring.d2.get(d, [])
-        cols = ring.d1.get(d, []) + ring.d3.get(d, [])
-        index = _basis_index(rows)
-        columns = [_coordinates_in(ring.reduced(e), index, len(rows)) for e in cols]
-        blocks.append(TransitionBlock(2 * d, tuple(zip(*columns)), tuple(rows), tuple(cols)))
+        b1 = ring.d1.get(d, [])
+        rows = b1 + ring.d2.get(d, [])
+        cols = b1 + ring.d3.get(d, [])
+        local = {ring.index[m]: i for m, i in _basis_index(rows).items()}
+        matrix = [[0] * len(cols) for _ in rows]
+        for j in range(len(b1)):
+            matrix[j][j] = 1
+        for j in range(len(b1), len(cols)):
+            for pos, c in ring.coordinates(cols[j]).items():
+                if pos not in local:
+                    raise NotInBasis(f"normal form of {cols[j].pretty()} leaves its degree")
+                matrix[local[pos]][j] = c
+        blocks.append(TransitionBlock(2 * d, tuple(map(tuple, matrix)), tuple(rows), tuple(cols)))
     return blocks
 
 
@@ -649,28 +750,25 @@ class OrbitPartition:
 
 def permutation_orbits(h: HessenbergFunction) -> OrbitPartition:
     """Orbit sets {x-part * y_k : k = 1..n} plus a greedily chosen fixed set of
-    pure-x monomials making the union linearly independent."""
+    pure-x monomials making the union linearly independent.
+
+    The orbit of x^e spans the B2 monomials x^e y_k (k < n) and P_e, the
+    pure-x part of NF(x^e y_n), so the orbits span B2 plus span{P_e}.  Taken
+    in order, a B1 monomial is left out exactly when span{P_e} holds a vector
+    whose last nonzero coordinate is that monomial: when its position is a
+    pivot of an echelon of the P_e with positions reversed."""
     n = h.n
     if _one_row_h1(h) == n:
         raise DegenerateForm("no y-sector orbits when h(1) = n")
     ring = _one_row_ring(h)
-    index = ring.index
+    last = len(ring.b1) - 1
     ech = IntEchelon()
     orbits = []
     for exps in _y_sector_xparts(h):
-        orbit = [XYElement.monomial(XYMonomial(exps, k)) for k in range(1, n + 1)]
-        for e in orbit:
-            terms = ring.reduced(e).terms
-            if not terms.keys() <= index.keys():
-                raise NotInBasis(f"normal form of {e.pretty()} leaves the basis list")
-            ech.insert({index[m]: c for m, c in terms.items()})
-        orbits.append(tuple(orbit))
-    fixed = []
-    for e in ring.b1:
-        (mono,) = e.terms.keys()
-        if ech.insert({index[mono]: 1}):
-            fixed.append(e)
-    return OrbitPartition(tuple(orbits), tuple(fixed))
+        ech.insert({last - pos: c for pos, c in ring.part_positions(exps).items()})
+        orbits.append(tuple(XYElement.monomial(XYMonomial(exps, k)) for k in range(1, n + 1)))
+    fixed = tuple(e for pos, e in enumerate(ring.b1) if last - pos not in ech.pivots)
+    return OrbitPartition(tuple(orbits), fixed)
 
 
 def degree_gf(b: BasisSet) -> QPolynomial:

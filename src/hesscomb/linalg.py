@@ -8,37 +8,74 @@ answer is exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress
 
 
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
+def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (fraction-free, sparse).
+
+    Rows are taken in order as sparse dicts and each is top-reduced against
+    the pivot rows before it, as IntEchelon.reduce does: row := b*row - a*pivot
+    with a, b the two leads divided by their gcd.  Scaling a row by b scales
+    the determinant by b, so the scalings are multiplied into a divisor and
+    divided out once at the end; a pivot row is stored divided by its
+    content, which goes into the product.  The reduced rows then have distinct lead
+    columns, and the determinant is the product of their leads times the sign
+    of the permutation from rows to leads.  A unit pivot costs one pass over
+    its own entries and a unit column costs nothing, so a block-triangular,
+    mostly-unit matrix costs about its nonzeros."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    m = [[int(x) for x in r] for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        p = m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] == 0 and p == prev:
-                continue  # the update would leave row i as it is
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * p - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = p
-    return sign * m[n - 1][n - 1]
+    columns = range(n)
+    pivots: dict[int, dict[int, int]] = {}
+    leads = []
+    product = divisor = 1
+    for r in rows:
+        row = {j: int(r[j]) for j in compress(columns, r)}
+        get = row.get
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            g = math.gcd(row[lead], piv[lead])
+            a = row[lead] // g
+            b = piv[lead] // g
+            if b != 1:
+                for c in row:
+                    row[c] *= b
+                divisor *= b
+            for c, v in piv.items():
+                x = get(c, 0) - v * a
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+        if not row:
+            return 0
+        if abs(row[lead]) != 1:
+            g = math.gcd(*row.values())
+            if g != 1:
+                row = {c: v // g for c, v in row.items()}
+                product *= g
+        pivots[lead] = row
+        leads.append(lead)
+        product *= row[lead]
+    # i -> leads[i] is a permutation; its sign is (-1)^(n - number of cycles)
+    cycles = 0
+    seen = [False] * n
+    for i in columns:
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = leads[j]
+    sign = -1 if (n - cycles) % 2 else 1
+    return sign * product // divisor
 
 
 class IntEchelon:

@@ -1,9 +1,12 @@
 """The per-column reports: the oracle for the shared quotient-ring context.
 
-Each function rebuilds the bases it needs and takes ``normal_form`` of every
-block column and every orbit element, sharing nothing with the context in
-``hesscomb.cohomology``, which builds the bases once per h and chains the
-y_n normal forms.  The answers must be equal.
+Each function rebuilds the bases it needs, takes ``normal_form`` of every
+block column and every orbit element, and chooses the orbits' fixed set by
+inserting every orbit element and then every B1 monomial into one echelon.
+It shares nothing with the context in ``hesscomb.cohomology``, which builds
+the bases once per h, keeps the pure-x part P_e of each x^e y_n normal form
+on packed monomials, chained through its own reducer, and reads the fixed
+set from the trailing pivots of span{P_e}.  The answers must be equal.
 """
 
 from hesscomb.cohomology import (

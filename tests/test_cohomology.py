@@ -326,6 +326,20 @@ def explicit_basis_transpose(h):
     return out
 
 
+def test_bases_come_in_element_key_order():
+    """The bases sort their exponent tuples by degree alone, relying on the
+    staircase's reversed-lex order for the rest of _element_key."""
+    for n in range(1, 7):
+        for h in all_hessenberg_functions(n):
+            elems = list(basis_nilpotent(h).elements)
+            assert elems == sorted(elems, key=lambda e: _element_key(e, 0)), h
+        for h1 in range(1, n + 1):
+            h = new_hessenberg([h1] + [n] * (n - 1))
+            for b in (basis_B1(h), basis_B2(h), basis_B3(h)):
+                elems = list(b.elements)
+                assert elems == sorted(elems, key=lambda e: _element_key(e, h1 - 1)), (h, b.label)
+
+
 def test_basis_transpose_matches_explicit_construction():
     """The mirrored one-row bases equal the explicit construction: labels,
     elements and order, for every transpose-form h with n <= 6."""

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from fracspan import FracSpan
 
 from hesscomb.cohomology import basis_B3, transition_blocks
@@ -66,21 +67,93 @@ def test_bareiss_forced_row_swaps_and_rank_drops():
     assert bareiss_det([[2, 0, 0], [0, 0, 3], [0, 5, 1]]) == -30
 
 
+def block_triangular(rng, units, groups, n, singular=False):
+    """[[I, A], [0, C]] with C block diagonal: one (n-1)-square block per
+    group, shaped like a transition block's B2 rows against its B3 columns
+    (det -n each), with rows and columns shuffled inside the C part.  When
+    singular, one group's last column is the sum of the others."""
+    size = units + groups * (n - 1)
+    m = [[0] * size for _ in range(size)]
+    for i in range(units):
+        m[i][i] = 1
+        for j in rng.sample(range(units, size), min(3, size - units)):
+            m[i][j] = rng.randint(-5, 5)
+    for g in range(groups):
+        base = units + g * (n - 1)
+        # column k: y_{k+1} - y_1 for k < n-1; the last: -2 y_1 - y_2 - ... - y_{n-1}
+        # (rows y_2..y_{n-1}, then y_1)
+        for k in range(n - 2):
+            m[base + k][base + k] = 1
+            m[base + n - 2][base + k] = -1
+        for r in range(n - 2):
+            m[base + r][base + n - 2] = -1
+        m[base + n - 2][base + n - 2] = -2
+        if singular and g == 0:
+            for r in range(base, base + n - 1):
+                m[r][base + n - 2] = sum(m[r][base:base + n - 2])
+    order = list(range(units, size))
+    rng.shuffle(order)
+    cols = list(range(units)) + order
+    rng.shuffle(order)
+    rows = list(range(units)) + order
+    return [[m[r][c] for c in cols] for r in rows]
+
+
+def test_bareiss_on_block_triangular_matrices_with_n_pivots_after_units():
+    rng = random.Random(2017)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(2, 7)
+        units, groups = rng.randint(0, 12), rng.randint(0, 3)
+        singular = groups > 0 and rng.random() < 0.25
+        m = block_triangular(rng, units, groups, n, singular)
+        expected = fraction_det(m)
+        assert bareiss_det(m) == expected, m
+        if not singular:
+            assert abs(expected) == n ** groups
+        seen.add("zero" if expected == 0 else "negative" if expected < 0 else "positive")
+    assert seen == {"zero", "negative", "positive"}
+
+
+def test_bareiss_leaves_its_input_unchanged():
+    m = [[0, 2, 1], [3, 0, 0], [1, 1, 1]]
+    copy = [list(row) for row in m]
+    assert bareiss_det(m) == fraction_det(m)
+    assert m == copy
+    assert bareiss_det(tuple(map(tuple, m))) == fraction_det(m)
+
+
+def b3_groups(h):
+    """Half degree -> the distinct x-parts among the B3 columns there."""
+    b3 = basis_B3(h)
+    ydeg = b3.y_degree()
+    groups = {}
+    for e in b3.elements:
+        m = next(iter(e.terms))
+        groups.setdefault(m.qdegree(ydeg), set()).add(m.xexp)
+    return groups
+
+
 def test_block_determinants_match_fraction_elimination_and_the_law():
     # |det| = n^g, g = number of distinct x-parts among the B3 columns
     for n in range(2, 6):
         for h1 in range(1, n + 1):
             h = new_hessenberg([h1] + [n] * (n - 1))
-            b3 = basis_B3(h)
-            ydeg = b3.y_degree()
-            groups = {}
-            for e in b3.elements:
-                m = next(iter(e.terms))
-                groups.setdefault(m.qdegree(ydeg), set()).add(m.xexp)
+            groups = b3_groups(h)
             for b in transition_blocks(h):
                 det = bareiss_det([list(row) for row in b.matrix])
                 assert det == fraction_det(b.matrix)
                 assert abs(det) == n ** len(groups.get(b.degree // 2, ()))
+
+
+@pytest.mark.parametrize("h1", [2, 5])
+def test_block_determinants_at_n6_follow_the_law(h1):
+    h = new_hessenberg([h1] + [6] * 5)
+    groups = b3_groups(h)
+    blocks = transition_blocks(h)
+    assert max(b.size for b in blocks) > 60
+    for b in blocks:
+        assert abs(b.determinant()) == 6 ** len(groups.get(b.degree // 2, ()))
 
 
 # --- IntEchelon against the rational row span --------------------------------

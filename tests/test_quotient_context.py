@@ -3,11 +3,14 @@ permutation_orbits, and the exponent-tuple census of decomposition_counts,
 against the per-column oracle in blocks_oracle.py.
 
 The context builds the bases of h once, reads B1 and B2 monomials as their own
-normal forms, and chains the normal forms of x^e y_n one variable at a time.
+normal forms, and chains the pure-x parts P_e of the normal forms of x^e y_n
+one variable at a time, on packed monomials through its own reducer.
 """
 
 import gc
+import heapq
 import itertools
+import random
 import weakref
 
 import pytest
@@ -20,15 +23,19 @@ from blocks_oracle import (
 import hesscomb.cohomology as cohomology
 import hesscomb.gkm as gkm
 from hesscomb.cohomology import (
+    XYElement,
+    XYMonomial,
     _b1_exponents,
     _find_rewrite,
     _y_sector_xparts,
     basis_B1,
     basis_B2,
     decomposition_counts,
+    normal_form,
     permutation_orbits,
     transition_blocks,
 )
+from hesscomb.errors import NonTerminating
 from hesscomb.hessenberg import new_hessenberg
 
 
@@ -98,17 +105,22 @@ def test_basis_monomials_are_normal():
 
 
 def test_blocks_and_orbits_share_one_y_n_chain(monkeypatch):
-    # one normal form per y-sector x-part, whichever report asks first
+    # one packed-chain build per y-sector x-part, whichever report asks first,
+    # and none of them through normal_form
     h = one_row(5, 3)
     calls = []
-    real = cohomology.normal_form
+    real = cohomology._OneRowRing._reduce
 
-    def counting(e, h):
-        calls.append(e)
-        return real(e, h)
+    def counting(ring, pending):
+        calls.append(len(pending))
+        return real(ring, pending)
+
+    def refused(e, h):
+        raise AssertionError("the y_n chain called normal_form")
 
     cohomology._one_row_ring.cache_clear()
-    monkeypatch.setattr(cohomology, "normal_form", counting)
+    monkeypatch.setattr(cohomology._OneRowRing, "_reduce", counting)
+    monkeypatch.setattr(cohomology, "normal_form", refused)
     try:
         permutation_orbits(h)
         transition_blocks(h)
@@ -118,15 +130,133 @@ def test_blocks_and_orbits_share_one_y_n_chain(monkeypatch):
     assert len(calls) == len(_y_sector_xparts(h))
 
 
+# --- the packed pure-x parts ----------------------------------------------------
+
+
+def part_element(ring, exps):
+    """P_exps - sum_{k<n} x^exps y_k, the normal form the ring gives x^exps y_n."""
+    n = ring.n
+    terms = {XYMonomial(ring._unpack(m)): c for m, c in ring.part(exps).items()}
+    terms.update({XYMonomial(exps, k): -1 for k in range(1, n)})
+    return XYElement(n, terms)
+
+
+def assert_parts_match_normal_form(h):
+    cohomology._one_row_ring.cache_clear()
+    ring = cohomology._one_row_ring(h)
+    for exps in _y_sector_xparts(h):
+        expected = normal_form(XYElement.monomial(XYMonomial(exps, h.n)), h)
+        assert part_element(ring, exps) == expected, (h, exps)
+
+
+@pytest.mark.parametrize("h", one_row_forms(2, 6), ids=str)
+def test_packed_parts_match_normal_form(h):
+    assert_parts_match_normal_form(h)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("h1", range(1, 8))
+def test_packed_parts_match_normal_form_n7(h1):
+    assert_parts_match_normal_form(one_row(7, h1))
+
+
+def test_packed_reducer_matches_normal_form_on_pure_x_polynomials():
+    # any pure-x polynomial of degree up to the top, not only the chain's
+    rng = random.Random(2017)
+    for h in one_row_forms(2, 6):
+        ring = cohomology._one_row_ring(h)
+        n, top = h.n, max(ring.d1.keys() | ring.d3.keys())
+        for _ in range(6):
+            degree = rng.randint(0, top)
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                exps = [0] * n
+                for _ in range(degree):
+                    exps[rng.randrange(n)] += 1
+                terms[tuple(exps)] = rng.choice([-3, -1, 1, 2])
+            e = XYElement(n, {XYMonomial(exps): c for exps, c in terms.items()})
+            packed = ring._reduce({ring._pack(exps): c for exps, c in terms.items()})
+            got = XYElement(n, {XYMonomial(ring._unpack(m)): c for m, c in packed.items()})
+            assert got == normal_form(e, h), (h, e.pretty())
+
+
+@pytest.mark.parametrize("values", [(2, 7, 7, 7, 7, 7, 7), (5, 7, 7, 7, 7, 7, 7)],
+                         ids=lambda v: "".join(map(str, v[:2])))
+def test_field_width_holds_every_exponent_reached(values, monkeypatch):
+    # every monomial the reducer holds enters its heap through heapify or
+    # heappush (negated); its exponents must stay below the guard bit
+    reached = []
+    heapify, heappush = heapq.heapify, heapq.heappush
+
+    def recording_heapify(heap):
+        reached.extend(-m for m in heap if isinstance(m, int))
+        heapify(heap)
+
+    def recording_heappush(heap, item):
+        if isinstance(item, int):
+            reached.append(-item)
+        heappush(heap, item)
+
+    h = new_hessenberg(values)
+    cohomology._one_row_ring.cache_clear()
+    ring = cohomology._one_row_ring(h)
+    monkeypatch.setattr(heapq, "heapify", recording_heapify)
+    monkeypatch.setattr(heapq, "heappush", recording_heappush)
+    try:
+        for exps in _y_sector_xparts(h):
+            ring.part(exps)
+    finally:
+        cohomology._one_row_ring.cache_clear()
+    largest = max(max(ring._unpack(m)) for m in reached)
+    top = max(ring.d1.keys() | ring.d3.keys())
+    assert 0 < largest <= top < 2 ** (ring.width - 1)
+    # packing is exact on every monomial reached
+    assert all(ring._pack(ring._unpack(m)) == m for m in reached)
+
+
+def test_packed_rule_that_does_not_descend_raises(monkeypatch):
+    # a straightening rule that maps x_n x^e back onto itself would loop
+    # forever; the packed reducer's descent check catches it
+    real = cohomology._straighten_rule
+
+    def cyclic(v, k, lo, hi, n):
+        table = real(v, k, lo, hi, n)
+        return table + (((0,) * n, 1),) if v == n else table
+
+    h = one_row(4, 2)
+    cohomology._one_row_ring.cache_clear()
+    monkeypatch.setattr(cohomology, "_straighten_rule", cyclic)
+    try:
+        with pytest.raises(NonTerminating):
+            transition_blocks(h)
+    finally:
+        cohomology._one_row_ring.cache_clear()
+
+
 def test_caches_stay_within_their_bounds():
     cohomology._one_row_ring.cache_clear()
     gkm._filtration.cache_clear()
     forms = one_row_forms(2, 5)
     assert len(forms) > cohomology._RING_CACHE_SIZE
+    # The packed rule tables and pure-x parts live on the ring, so they go
+    # when the ring is evicted: live rings never outnumber the entries.
+    rings = weakref.WeakSet()
     for h in forms:
         transition_blocks(h)
+        if h(1) < h.n:
+            permutation_orbits(h)
+        ring = cohomology._one_row_ring(h)
+        assert len(ring._parts) == len(_y_sector_xparts(h))
+        assert len(ring._straighten) == h.n + 1
+        rings.add(ring)
+        del ring
+        gc.collect()
+        assert len(rings) <= cohomology._one_row_ring.cache_info().currsize
         assert cohomology._one_row_ring.cache_info().currsize <= cohomology._RING_CACHE_SIZE
     assert cohomology._one_row_ring.cache_info().currsize == cohomology._RING_CACHE_SIZE
+    cohomology._one_row_ring.cache_clear()
+    gc.collect()
+    assert not rings
     forms = one_row_forms(2, 4)
     assert len(forms) > gkm._FILTRATION_CACHE_SIZE
     for h in forms:

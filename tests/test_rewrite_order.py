@@ -10,6 +10,7 @@ reference the ordered loop must reproduce wherever the old loop finishes.
 import itertools
 import random
 
+import blocks_oracle
 import pytest
 
 import hesscomb.cohomology as cohomology
@@ -153,9 +154,11 @@ def test_random_elements_match_lifo_oracle():
     ids=lambda v: "".join(map(str, v[:2])),
 )
 def test_blocks_and_orbits_match_lifo_oracle(values, monkeypatch):
-    # the reports keep the y_n normal forms in a context per h; clearing it
-    # makes the second round build them again under the LIFO oracle
+    # the reports read the y_n normal forms from the ring's packed chain; the
+    # per-column oracle takes the normal form of every column and orbit
+    # element, here through the LIFO loop
     h = new_hessenberg(values)
+    cohomology._one_row_ring.cache_clear()
     blocks = transition_blocks(h)
     orbits = orbit_data(permutation_orbits(h)) if h(1) < h.n else None
     lifo_calls = []
@@ -164,15 +167,13 @@ def test_blocks_and_orbits_match_lifo_oracle(values, monkeypatch):
         lifo_calls.append(e)
         return lifo_normal_form(e, h)
 
-    cohomology._one_row_ring.cache_clear()
-    monkeypatch.setattr(cohomology, "normal_form", counting_lifo)
-    try:
-        assert transition_blocks(h) == blocks
-        if orbits is not None:
-            assert orbit_data(permutation_orbits(h)) == orbits
-            assert lifo_calls
-    finally:
-        cohomology._one_row_ring.cache_clear()
+    monkeypatch.setattr(blocks_oracle, "normal_form", counting_lifo)
+    assert blocks_oracle.oracle_transition_blocks(h) == blocks
+    assert lifo_calls
+    if orbits is not None:
+        lifo_calls.clear()
+        assert orbit_data(blocks_oracle.oracle_permutation_orbits(h)) == orbits
+        assert lifo_calls
 
 
 # --- products the LIFO loop could not finish ---------------------------------------
