@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from operator import add, neg, sub
+from operator import add, lshift, neg, sub
 
 from .errors import (
     DegenerateForm,
@@ -255,10 +255,6 @@ def _staircase_monomials(bounds: list[int]) -> list[tuple[int, ...]]:
     return [exps[::-1] for exps in itertools.product(*ranges)]
 
 
-def _divisible(exps: tuple[int, ...], positions) -> bool:
-    return all(exps[p - 1] >= 1 for p in positions)
-
-
 def _b1_exponents(h: HessenbergFunction) -> list[tuple[int, ...]]:
     """The exponent tuples of B1: the staircase (exponent of x_j at most n-j)
     minus the multiples of x_1...x_{h(1)}."""
@@ -267,51 +263,56 @@ def _b1_exponents(h: HessenbergFunction) -> list[tuple[int, ...]]:
     return [
         exps
         for exps in _staircase_monomials([n - j for j in range(1, n + 1)])
-        if not _divisible(exps, range(1, h1 + 1))
+        if 0 in exps[:h1]
     ]
+
+
+def _b1_elements(exponents: list[tuple[int, ...]]) -> tuple[XYElement, ...]:
+    return tuple(XYElement.monomial(XYMonomial(exps)) for exps in exponents)
 
 
 def basis_B1(h: HessenbergFunction) -> BasisSet:
     """Staircase monomials (exponent of x_j at most n-j) avoiding x_1...x_{h(1)}."""
-    elems = [XYElement.monomial(XYMonomial(exps)) for exps in sorted(_b1_exponents(h), key=sum)]
-    return BasisSet("B1", h, tuple(elems), y_form(h, "one-row"))
+    return BasisSet("B1", h, _b1_elements(sorted(_b1_exponents(h), key=sum)), y_form(h, "one-row"))
 
 
 def _y_sector_xparts(h: HessenbergFunction) -> list[tuple[int, ...]]:
     h1 = _one_row_h1(h)
     n = h.n
     bounds = [0] + [v - 2 for v in range(2, n + 1)]
-    return [
-        exps
-        for exps in _staircase_monomials(bounds)
-        if not _divisible(exps, range(h1 + 1, n + 1))
-    ]
+    return [exps for exps in _staircase_monomials(bounds) if 0 in exps[h1:]]
+
+
+def _b2_elements(n: int, xparts: list[tuple[int, ...]]) -> tuple[XYElement, ...]:
+    """x^e y_2, ..., x^e y_{n-1}, x^e y_1 for each x-part e, in that order."""
+    return tuple(
+        XYElement.monomial(XYMonomial(exps, k)) for exps in xparts for k in (*range(2, n), 1)
+    )
 
 
 def basis_B2(h: HessenbergFunction) -> BasisSet:
     """x-parts in x_2..x_n (exponent of x_v at most v-2, avoiding the factor
     x_{h(1)+1}...x_n) times y_k for k = 1..n-1; y_1 comes last, as
     _y_rank orders it."""
-    n = h.n
-    elems = [
-        XYElement.monomial(XYMonomial(exps, k))
-        for exps in sorted(_y_sector_xparts(h), key=sum)
-        for k in (*range(2, n), 1)
-    ]
-    return BasisSet("B2", h, tuple(elems), y_form(h, "one-row"))
+    return BasisSet("B2", h, _b2_elements(h.n, sorted(_y_sector_xparts(h), key=sum)),
+                    y_form(h, "one-row"))
+
+
+def _b3_elements(n: int, xparts: list[tuple[int, ...]]) -> tuple[XYElement, ...]:
+    """x^e (y_{k+1} - y_1) for each x-part e and k = 1..n-1, in that order."""
+    return tuple(
+        XYElement(n, {XYMonomial(exps, k + 1): 1, XYMonomial(exps, 1): -1})
+        for exps in xparts
+        for k in range(1, n)
+    )
 
 
 def basis_B3(h: HessenbergFunction) -> BasisSet:
     """Same x-parts as B2 times the differences y_{k+1} - y_1, k = 1..n-1:
     y_{k+1} - y_1 is the Specht polynomial of shape (n-1, 1) in the y
     variables, for the standard tableau with 1 and k + 1 in its column."""
-    n = h.n
-    elems = [
-        XYElement(n, {XYMonomial(exps, k + 1): 1, XYMonomial(exps, 1): -1})
-        for exps in sorted(_y_sector_xparts(h), key=sum)
-        for k in range(1, n)
-    ]
-    return BasisSet("B3", h, tuple(elems), y_form(h, "one-row"))
+    return BasisSet("B3", h, _b3_elements(h.n, sorted(_y_sector_xparts(h), key=sum)),
+                    y_form(h, "one-row"))
 
 
 def _nilpotent_exponents(h: HessenbergFunction) -> list[tuple[int, ...]]:
@@ -418,7 +419,7 @@ def _find_rewrite(exps: tuple[int, ...], y: int, n: int, h1: int) -> list | None
             return out + [((exps, k), -1) for k in range(1, n)]
         if exps[0] > 0:
             return []
-        if _divisible(exps, range(h1 + 1, n + 1)):
+        if 0 not in exps[h1:]:
             # y_k x_{h(1)+1}...x_n = prod_{l=2}^{h(1)} (-x_l) * x_{h(1)+1}...x_n
             return _shifted(exps, 0, _difference_product(h1, n)[-1:])
         for v in range(2, n + 1):
@@ -428,7 +429,7 @@ def _find_rewrite(exps: tuple[int, ...], y: int, n: int, h1: int) -> list | None
     for v in range(n, 0, -1):
         if exps[v - 1] >= n + 1 - v:
             return _shifted(exps, 0, _straighten_rule(v, n + 1 - v, 1, v, n))
-    if _divisible(exps, range(1, h1 + 1)):
+    if 0 not in exps[:h1]:
         return _shifted(exps, 0, _exclusion_rule(h1, n))
     return None
 
@@ -519,26 +520,15 @@ class TransitionBlock:
         return "\n".join(lines) + "\n"
 
 
-def _by_degree(basis: BasisSet) -> dict[int, list[XYElement]]:
-    ydeg = basis.y_degree()
-    out: dict[int, list[XYElement]] = {}
-    for e in basis.elements:
-        out.setdefault(_element_degree(e, ydeg), []).append(e)
-    return out
-
-
-def _basis_index(elements: list[XYElement]) -> dict[XYMonomial, int]:
+def coordinates(e: XYElement, elements: list[XYElement]) -> list[int]:
+    """Coordinates of a normal-form element against a list of basis monomials."""
     index: dict[XYMonomial, int] = {}
     for pos, b in enumerate(elements):
         if len(b.terms) != 1:
             raise NotInBasis(f"basis entry {b.pretty()} is not a single monomial")
-        (mono,) = b.terms.keys()
+        (mono,) = b.terms
         index[mono] = pos
-    return index
-
-
-def _coordinates_in(e: XYElement, index: dict[XYMonomial, int], size: int) -> list[int]:
-    vec = [0] * size
+    vec = [0] * len(elements)
     for m, c in e.terms.items():
         if m not in index:
             raise NotInBasis(f"monomial {m.pretty()} outside the basis list")
@@ -546,20 +536,30 @@ def _coordinates_in(e: XYElement, index: dict[XYMonomial, int], size: int) -> li
     return vec
 
 
-def coordinates(e: XYElement, elements: list[XYElement]) -> list[int]:
-    """Coordinates of a normal-form element against a list of basis monomials."""
-    return _coordinates_in(e, _basis_index(elements), len(elements))
-
-
-# One context per h, shared by the reports below; contexts are small (bases,
-# n + 2 packed rule tables and one pure-x part per y-sector x-part), and the
-# bound keeps a long-lived process from holding one for every h it has seen.
+# One context per h, shared by the reports below; contexts are small (the
+# exponent tuples and elements of B1, B2 and B3, n + 2 packed rule tables and
+# one pure-x part per y-sector x-part), and the bound keeps a long-lived
+# process from holding one for every h it has seen.
 _RING_CACHE_SIZE = 8
 
 
+def _degree_ranges(exponents: list[tuple[int, ...]]) -> dict[int, range]:
+    """Degree -> its positions, for exponent tuples sorted by degree."""
+    out, start = {}, 0
+    for d, size in sorted(Counter(map(sum, exponents)).items()):
+        out[d] = range(start, start + size)
+        start += size
+    return out
+
+
 class _OneRowRing:
-    """The bases B1, B2 and B3 of one one-row h, grouped by degree, the index of
-    B1 and B2, and the normal forms of x^e y_n for the y-sector x-parts e.
+    """The bases B1, B2 and B3 of one one-row h, and the normal forms of
+    x^e y_n for the y-sector x-parts e.
+
+    The bases are built once, by the builders of basis_B1/B2/B3, from the
+    B1 exponents and x-parts sorted by degree.  So `b1_range` maps a degree
+    to a slice of B1, `x_range` an x-degree to a slice of the x-parts, and
+    x-part i owns n - 1 consecutive positions of B2 and of B3.
 
     B1 and B2 monomials are normal, and so is every monomial of a B3 element
     but x^e y_n.  Each x^e y_k with k < n is a B2 monomial, so
@@ -581,18 +581,23 @@ class _OneRowRing:
     def __init__(self, h: HessenbergFunction):
         n = self.n = h.n
         h1 = _one_row_h1(h)
-        b1, b2, b3 = basis_B1(h), basis_B2(h), basis_B3(h)
-        self.b1 = b1.elements
-        self.d1, self.d2, self.d3 = _by_degree(b1), _by_degree(b2), _by_degree(b3)
-        self.index = _basis_index(b1.elements + b2.elements)
-        w = self.width = max(max(self.d1.keys() | self.d3.keys()), n).bit_length() + 1
+        self.ydeg = h1 - 1
+        b1_exps = sorted(_b1_exponents(h), key=sum)
+        xparts = _y_sector_xparts(h)
+        order = sorted(range(len(xparts)), key=lambda j: sum(xparts[j]))
+        self.xparts = [xparts[j] for j in order]
+        # each x-part's index in self.xparts, listed in the order of _y_sector_xparts
+        self.staircase = sorted(range(len(order)), key=order.__getitem__)
+        self.b1 = _b1_elements(b1_exps)
+        self.b2 = _b2_elements(n, self.xparts)
+        self.b3 = _b3_elements(n, self.xparts)
+        self.b1_range = _degree_ranges(b1_exps)
+        self.x_range = _degree_ranges(self.xparts)
+        top = max(*self.b1_range, *(d + self.ydeg for d in self.x_range), n)
+        w = self.width = top.bit_length() + 1
+        self._shifts = range(0, w * n, w)
         guard = 1 << (w - 1)
-        # B1 position by packed monomial; B2 positions of x^e y_1..x^e y_(n-1) by e
-        self.b1_at = {self._pack(m.xexp): pos for m, pos in self.index.items() if m.y is None}
-        self.y_at: dict[tuple[int, ...], list[int]] = {}
-        for m, pos in self.index.items():
-            if m.y is not None:
-                self.y_at.setdefault(m.xexp, []).append(pos)
+        self.b1_at = {self._pack(exps): pos for pos, exps in enumerate(b1_exps)}
         # Adding _over sets the guard of field v exactly when x_v^(n+1-v)
         # divides the monomial; adding _excl sets the guards of fields
         # 1..h(1) exactly when x_1...x_h(1) does.
@@ -608,7 +613,7 @@ class _OneRowRing:
         self._parts: dict[tuple[int, ...], dict[int, int]] = {}
 
     def _pack(self, exps) -> int:
-        return sum(e << (self.width * i) for i, e in enumerate(exps))
+        return sum(map(lshift, exps, self._shifts))
 
     def _unpack(self, m: int) -> tuple[int, ...]:
         mask = (1 << self.width) - 1
@@ -681,47 +686,40 @@ class _OneRowRing:
             out[pos] = c
         return out
 
-    def coordinates(self, e: XYElement) -> dict[int, int]:
-        """The normal form of a combination of B1, B2 and B3 monomials, as
-        position in the B1-and-B2 index -> coefficient: each x^e y_n term
-        replaced by P_e - sum_{k<n} x^e y_k, the rest kept."""
-        out: dict[int, int] = {}
-        for m, c in e.terms.items():
-            if m.y == self.n and m.xexp in self.y_at:
-                terms = [(pos, c * cp) for pos, cp in self.part_positions(m.xexp).items()]
-                terms += [(pos, -c) for pos in self.y_at[m.xexp]]
-            elif m in self.index:
-                terms = [(self.index[m], c)]
-            else:
-                raise NotInBasis(f"monomial {m.pretty()} outside the basis list")
-            for pos, v in terms:
-                out[pos] = out.get(pos, 0) + v
-        return {pos: v for pos, v in out.items() if v}
-
-
 _one_row_ring = lru_cache(maxsize=_RING_CACHE_SIZE)(_OneRowRing)
 
 
 def transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
     """Per degree, the matrix of B1 and B3 elements over B1 and B2 coordinates.
     B1 monomials are normal, so the B1 columns are the unit columns of the
-    B1 rows, which come first."""
+    B1 rows, which come first.  Column x^e (y_{k+1} - y_1) is +1 on row
+    x^e y_{k+1} and -1 on row x^e y_1 for k + 1 < n; for k + 1 = n it is
+    NF(x^e y_n) - x^e y_1, so P_e on the B1 rows, -1 on x^e y_2..x^e y_{n-1}
+    and -2 on x^e y_1."""
     ring = _one_row_ring(h)
+    n1 = ring.n - 1
     blocks = []
-    for d in sorted(set(ring.d1) | set(ring.d3)):
-        b1 = ring.d1.get(d, [])
-        rows = b1 + ring.d2.get(d, [])
-        cols = b1 + ring.d3.get(d, [])
-        local = {ring.index[m]: i for m, i in _basis_index(rows).items()}
+    for d in sorted(ring.b1_range.keys() | {xd + ring.ydeg for xd in ring.x_range}):
+        r1 = ring.b1_range.get(d, range(0))
+        rx = ring.x_range.get(d - ring.ydeg, range(0))
+        b1 = ring.b1[r1.start:r1.stop]
+        lo, hi = rx.start * n1, rx.stop * n1
+        rows, cols = b1 + ring.b2[lo:hi], b1 + ring.b3[lo:hi]
         matrix = [[0] * len(cols) for _ in rows]
         for j in range(len(b1)):
             matrix[j][j] = 1
-        for j in range(len(b1), len(cols)):
-            for pos, c in ring.coordinates(cols[j]).items():
-                if pos not in local:
-                    raise NotInBasis(f"normal form of {cols[j].pretty()} leaves its degree")
-                matrix[local[pos]][j] = c
-        blocks.append(TransitionBlock(2 * d, tuple(map(tuple, matrix)), tuple(rows), tuple(cols)))
+        for i in rx:
+            first = len(b1) + i * n1 - lo  # row x^e y_2, column x^e (y_2 - y_1)
+            last = first + n1 - 1  # row x^e y_1, column x^e (y_n - y_1)
+            for j in range(first, last):
+                matrix[j][j] = 1
+                matrix[last][j] = matrix[j][last] = -1
+            matrix[last][last] = -2
+            for pos, c in ring.part_positions(ring.xparts[i]).items():
+                if pos not in r1:
+                    raise NotInBasis(f"normal form of {cols[last].pretty()} leaves its degree")
+                matrix[pos - r1.start][last] = c
+        blocks.append(TransitionBlock(2 * d, tuple(map(tuple, matrix)), rows, cols))
     return blocks
 
 
@@ -764,9 +762,12 @@ def permutation_orbits(h: HessenbergFunction) -> OrbitPartition:
     last = len(ring.b1) - 1
     ech = IntEchelon()
     orbits = []
-    for exps in _y_sector_xparts(h):
+    for i in ring.staircase:
+        exps, slot = ring.xparts[i], i * (n - 1)
         ech.insert({last - pos: c for pos, c in ring.part_positions(exps).items()})
-        orbits.append(tuple(XYElement.monomial(XYMonomial(exps, k)) for k in range(1, n + 1)))
+        # B2 holds x^e y_2..x^e y_(n-1), then x^e y_1
+        orbits.append((ring.b2[slot + n - 2], *ring.b2[slot:slot + n - 2],
+                       XYElement.monomial(XYMonomial(exps, n))))
     fixed = tuple(e for pos, e in enumerate(ring.b1) if last - pos not in ech.pivots)
     return OrbitPartition(tuple(orbits), fixed)
 

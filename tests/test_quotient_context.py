@@ -30,12 +30,13 @@ from hesscomb.cohomology import (
     _y_sector_xparts,
     basis_B1,
     basis_B2,
+    basis_B3,
     decomposition_counts,
     normal_form,
     permutation_orbits,
     transition_blocks,
 )
-from hesscomb.errors import NonTerminating
+from hesscomb.errors import NonTerminating, NotInBasis
 from hesscomb.hessenberg import new_hessenberg
 
 
@@ -45,6 +46,10 @@ def one_row(n, h1):
 
 def one_row_forms(lo, hi):
     return [one_row(n, h1) for n in range(lo, hi + 1) for h1 in range(1, n + 1)]
+
+
+def top_degree(h):
+    return max(basis_B1(h).degrees() + basis_B3(h).degrees())
 
 
 def block_report(blocks):
@@ -72,7 +77,7 @@ def assert_reports_match_oracle(h):
     assert decomposition_counts(h) == oracle_decomposition_counts(h)
 
 
-@pytest.mark.parametrize("h", one_row_forms(2, 6), ids=str)
+@pytest.mark.parametrize("h", one_row_forms(1, 6), ids=str)
 def test_reports_match_per_column_oracle(h):
     assert_reports_match_oracle(h)
 
@@ -130,6 +135,47 @@ def test_blocks_and_orbits_share_one_y_n_chain(monkeypatch):
     assert len(calls) == len(_y_sector_xparts(h))
 
 
+@pytest.mark.parametrize("bases_first", [False, True], ids=["cold", "bases-first"])
+def test_one_construction_per_basis_element(bases_first, monkeypatch):
+    # The ring builds each element of B1, B2 and B3 once and keeps nothing
+    # outside itself, so building the bases just before saves it nothing;
+    # the orbits then build only their x^e y_n.
+    h = one_row(5, 3)
+    sizes = [len(b) for b in (basis_B1(h), basis_B2(h), basis_B3(h))]
+    cohomology._one_row_ring.cache_clear()
+    if bases_first:
+        basis_B1(h), basis_B2(h), basis_B3(h)
+    built = []
+    real = XYElement.__post_init__
+
+    def counting(e):
+        built.append(1)
+        real(e)
+
+    monkeypatch.setattr(XYElement, "__post_init__", counting)
+    try:
+        transition_blocks(h)
+        assert len(built) == sum(sizes)
+        built.clear()
+        permutation_orbits(h)
+        assert len(built) == len(_y_sector_xparts(h))
+    finally:
+        cohomology._one_row_ring.cache_clear()
+
+
+def test_block_column_that_leaves_its_degree_raises(monkeypatch):
+    # a pure-x part on a B1 monomial of another degree is refused, not
+    # written into a row of the block; the packed monomial 0 is 1, of degree 0
+    h = one_row(4, 2)
+    cohomology._one_row_ring.cache_clear()
+    monkeypatch.setattr(cohomology._OneRowRing, "part", lambda ring, exps: {0: 1})
+    try:
+        with pytest.raises(NotInBasis, match="leaves its degree"):
+            transition_blocks(h)
+    finally:
+        cohomology._one_row_ring.cache_clear()
+
+
 # --- the packed pure-x parts ----------------------------------------------------
 
 
@@ -165,7 +211,7 @@ def test_packed_reducer_matches_normal_form_on_pure_x_polynomials():
     rng = random.Random(2017)
     for h in one_row_forms(2, 6):
         ring = cohomology._one_row_ring(h)
-        n, top = h.n, max(ring.d1.keys() | ring.d3.keys())
+        n, top = h.n, top_degree(h)
         for _ in range(6):
             degree = rng.randint(0, top)
             terms = {}
@@ -208,7 +254,7 @@ def test_field_width_holds_every_exponent_reached(values, monkeypatch):
     finally:
         cohomology._one_row_ring.cache_clear()
     largest = max(max(ring._unpack(m)) for m in reached)
-    top = max(ring.d1.keys() | ring.d3.keys())
+    top = top_degree(h)
     assert 0 < largest <= top < 2 ** (ring.width - 1)
     # packing is exact on every monomial reached
     assert all(ring._pack(ring._unpack(m)) == m for m in reached)
