@@ -13,8 +13,8 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from operator import add, lshift, neg, sub
+from functools import lru_cache
+from operator import add, lshift, sub
 
 from .errors import (
     DegenerateForm,
@@ -48,9 +48,11 @@ class XYMonomial:
     def __post_init__(self):
         if not self.xexp:
             raise ShapeMismatch("empty exponent vector")
-        if min(self.xexp) < 0:
-            raise ShapeMismatch("negative exponent")
-        if self.y is not None and not 1 <= self.y <= len(self.xexp):
+        for e in self.xexp:
+            if type(e) is not int or e < 0:
+                checked_int(e, "an exponent")
+                raise ShapeMismatch("negative exponent")
+        if self.y is not None and not 1 <= checked_int(self.y, "a y index") <= len(self.xexp):
             raise ShapeMismatch(f"y index {self.y} outside 1..{len(self.xexp)}")
 
     @property
@@ -91,10 +93,14 @@ class XYElement:
     terms: dict[XYMonomial, int]
 
     def __post_init__(self):
-        clean = {m: c for m, c in self.terms.items() if c}
-        for m in clean:
-            if m.n != self.n:
-                raise ShapeMismatch("mixed variable counts")
+        clean = {}
+        for m, c in self.terms.items():
+            if type(c) is not int:
+                checked_int(c, "a coefficient")
+            if c:
+                if m.n != self.n:
+                    raise ShapeMismatch("mixed variable counts")
+                clean[m] = c
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -174,9 +180,7 @@ class XYElement:
         terms: dict[XYMonomial, int] = {}
         n = None
         for t in data["terms"]:
-            y = t.get("y")
-            m = XYMonomial(tuple(checked_int(e, "an exponent") for e in t["x"]),
-                           None if y is None else checked_int(y, "a y index"))
+            m = XYMonomial(tuple(t["x"]), t.get("y"))
             n = m.n
             terms[m] = terms.get(m, 0) + checked_int(t["c"], "a coefficient")
         if n is None:
@@ -192,8 +196,7 @@ def _check_n(n: int, h: HessenbergFunction) -> None:
 def multiply(h: HessenbergFunction, a: XYElement, b: XYElement) -> XYElement:
     """Full product in the quotient ring, reducing y*y pairs as it goes."""
     n = h.n
-    # y_k^2 = y_k * prod_{l=2}^{h(1)} (-x_l), the last term of _difference_product
-    square, sign = _difference_product(_one_row_h1(h), n)[-1]
+    square, sign = _rewriter(_one_row_h1(h), n).square
     _check_n(a.n, h)
     _check_n(b.n, h)
     acc: dict[XYMonomial, int] = {}
@@ -355,15 +358,18 @@ def basis_transpose(h: HessenbergFunction) -> tuple[BasisSet, BasisSet, BasisSet
 
 # --- normal form --------------------------------------------------------------
 #
-# Inside the rewrite engine a monomial is the pair (exps, y): its exponent
-# tuple and its y index, with y = 0 for no y factor.  A rule table holds
-# (exponent change, coefficient) pairs, which _shifted adds to the monomial
-# being rewritten; an XYMonomial is built only for an output term.
+# Monomials are packed into ints of `width`-bit fields.  Pure x^e holds x_v in
+# field v - 1 (x_n on top); x^e y_k, k < n, sets a flag bit above every pure-x
+# int and holds k in field 0 and x_v in field n + 1 - v (x_1 on top); y_n is
+# replaced by its relation on the way in.  So every rule lowers the int: a
+# pure-x rule moves exponent to lower variables, a y-sector rule to higher
+# ones or out of the sector.  A field's top bit is a guard above room for the
+# top degree: a rule's packed change never carries into the next field, and
+# adding a constant sets a guard exactly when an exponent reaches a bound.
 
 _Table = tuple[tuple[tuple[int, ...], int], ...]
 
 
-@cache
 def _straighten_rule(v: int, k: int, lo: int, hi: int, n: int) -> _Table:
     """Rewrites x_v^k by h_k(x_lo..x_hi) = 0, where lo <= v <= hi: every
     other term of the complete homogeneous sum, negated, in place of x_v^k."""
@@ -378,7 +384,6 @@ def _straighten_rule(v: int, k: int, lo: int, hi: int, n: int) -> _Table:
     return tuple(out)
 
 
-@cache
 def _difference_product(h1: int, n: int) -> _Table:
     """prod_{l=2}^{h1} (x_1 - x_l) expanded, one term per subset S of {2..h1}:
     (-1)^|S| x_1^{h1-1-|S|} prod_{l in S} x_l.  The last term, for S = {2..h1},
@@ -394,7 +399,6 @@ def _difference_product(h1: int, n: int) -> _Table:
     return tuple(out)
 
 
-@cache
 def _exclusion_rule(h1: int, n: int) -> _Table:
     """Rewrites x_1 x_2 ... x_{h(1)} by x_1 * prod_{l=2}^{h(1)} (x_1 - x_l) = 0:
     x_1 times each other term of the product, with its sign moved past the
@@ -404,92 +408,150 @@ def _exclusion_rule(h1: int, n: int) -> _Table:
     return tuple((tuple(map(sub, exps, lead)), sign * c) for exps, c in others)
 
 
-def _shifted(exps: tuple[int, ...], y: int, table: _Table) -> list:
-    """The terms of a rule table applied to x^exps, each with the y index y."""
-    return [((tuple(map(add, exps, delta)), y), c) for delta, c in table]
+# The last _RING_CACHE_SIZE rewriters (packed rule tables and the normal
+# monomials met or kept) and contexts (bases, positions and one pure-x part
+# per y-sector x-part) used: the bound keeps a long-lived process from holding
+# one of each for every h it has seen.
+_RING_CACHE_SIZE = 8
 
 
-def _find_rewrite(exps: tuple[int, ...], y: int, n: int, h1: int) -> list | None:
-    """One rewriting step for the monomial (exps, y), as ((exps, y), coefficient)
-    pairs, or None when it is normal."""
-    if y:
-        if y == n:
-            # y_n = prod_{l=2}^{h(1)} (x_1 - x_l) - sum_{k<n} y_k
-            out = _shifted(exps, 0, _difference_product(h1, n))
-            return out + [((exps, k), -1) for k in range(1, n)]
-        if exps[0] > 0:
-            return []
-        if 0 not in exps[h1:]:
-            # y_k x_{h(1)+1}...x_n = prod_{l=2}^{h(1)} (-x_l) * x_{h(1)+1}...x_n
-            return _shifted(exps, 0, _difference_product(h1, n)[-1:])
-        for v in range(2, n + 1):
-            if exps[v - 1] >= v - 1:
-                return _shifted(exps, y, _straighten_rule(v, v - 1, v, n, n))
-        return None
-    for v in range(n, 0, -1):
-        if exps[v - 1] >= n + 1 - v:
-            return _shifted(exps, 0, _straighten_rule(v, n + 1 - v, 1, v, n))
-    if 0 not in exps[:h1]:
-        return _shifted(exps, 0, _exclusion_rule(h1, n))
-    return None
+class _Rewriter:
+    """The rules of the one-row ideal for one (h(1), n) on packed monomials,
+    and the one loop that applies them.  Pure x^e: straighten x_v^(n+1-v) by
+    h_(n+1-v)(x_1..x_v), highest v first, else x_1...x_h(1) by the exclusion
+    rule.  x^e y_k (k < n): any x_1 gives 0; x_(h(1)+1)...x_n leaves for
+    x^e prod_{l=2}^{h(1)} (-x_l); else straighten x_v^(v-1) by
+    h_(v-1)(x_v..x_n), lowest v first.  B1 and B2 are what no rule matches."""
+
+    def __init__(self, h1: int, n: int):
+        self.n, self.ydeg = n, h1 - 1
+        self.top = (n - 1) * (n - 2) // 2 + h1 - 1
+        w = self.width = max(self.top, n).bit_length() + 1
+        g = 1 << (w - 1)
+        self._x_shifts, self._y_shifts = range(0, w * n, w), range(w * n, 0, -w)
+        self._flag, self._mask = 1 << (w * (n + 1)), (1 << w) - 1
+        self._x1 = self._mask << (w * n)
+        # Adding _over sets x_v's guard when x_v^(n+1-v) divides a pure-x monomial, _y_over
+        # when x_v^(v-1) divides a y-sector one, _excl (_y_excl) when x_v, v <= h(1) (> h(1)), does.
+        self._over = self.pure([g - (n + 1 - v) for v in range(1, n + 1)])
+        self._excl = self.pure([g - 1] * h1)
+        self._guards = self.pure([g] * n)
+        self._y_over = self._ypack([0] + [g - (v - 1) for v in range(2, n + 1)])
+        self._y_excl = self._ypack([0] * h1 + [g - 1] * (n - h1))
+        self._y_guards = self._ypack([0] + [g] * (n - 1))
+
+        def packed(table, pack=self.pure):
+            return tuple((pack(delta), c) for delta, c in table)
+
+        # y_k^2 = y_k * prod_{l=2}^{h(1)} (-x_l), the last term of the product
+        difference = _difference_product(h1, n)
+        self.square, self.difference = difference[-1], packed(difference)
+        # indexed by the bit length, in fields, of the highest guard set
+        self._straighten = [None] + [packed(_straighten_rule(v, n + 1 - v, 1, v, n))
+                                     for v in range(1, n + 1)]
+        self._y_straighten = [None, None] + [
+            packed(_straighten_rule(v, v - 1, v, n, n), self._ypack) for v in range(n, 1, -1)]
+        self._exclusion = packed(_exclusion_rule(h1, n))
+        self.monomials: dict[int, XYMonomial] = {}
+
+    def pure(self, exps) -> int:
+        """The packed pure-x monomial x^exps."""
+        return sum(map(lshift, exps, self._x_shifts))
+
+    def _ypack(self, exps) -> int:
+        return sum(map(lshift, exps, self._y_shifts))
+
+    def pack(self, e: XYElement) -> dict[int, int]:
+        """e on packed monomials, y_n replaced by prod_{l=2}^{h(1)} (x_1 - x_l)
+        - sum_{k<n} y_k.  Terms above the top degree are dropped: the rules
+        keep the degree, and B1 and B2 have nothing above it."""
+        out: dict[int, int] = {}
+        for m, c in e.terms.items():
+            exps, y = m.xexp, m.y
+            if sum(exps) + (self.ydeg if y else 0) > self.top:
+                continue
+            if y is None:
+                terms = ((self.pure(exps), c),)
+            else:
+                ys = self.y_sector(exps)
+                terms = ((ys | y, c),) if y < self.n else [
+                    *((self.pure(exps) + d, c * cd) for d, cd in self.difference),
+                    *((ys | k, -c) for k in range(1, self.n))]
+            for p, cp in terms:
+                out[p] = out.get(p, 0) + cp
+        return out
+
+    def y_sector(self, exps) -> int:
+        """The packed x^exps y_k, k < n, less k."""
+        return self._flag | self._ypack(exps)
+
+    def monomial(self, m: int) -> XYMonomial:
+        """The monomial packed as m, built on first request unless the ring
+        kept it; normal_form asks only for normal monomials: B1 and B2."""
+        mono = self.monomials.get(m)
+        if mono is None:
+            y = m & self._mask if m & self._flag else None
+            shifts = self._y_shifts if y else self._x_shifts
+            mono = XYMonomial(tuple((m >> s) & self._mask for s in shifts), y)
+            self.monomials[m] = mono
+        return mono
+
+    def reduce(self, pending: dict[int, int]) -> dict[int, int]:
+        """The normal form of a packed polynomial, which it consumes: each
+        monomial is rewritten once, highest first, with its coefficient
+        complete.  Raises NonTerminating if a rule fails to lower it."""
+        flag, x1, w, h1 = self._flag, self._x1, self.width, self.ydeg + 1
+        over, excl, guards, straighten = self._over, self._excl, self._guards, self._straighten
+        heap = [-m for m in pending]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            m = -heapq.heappop(heap)
+            c = pending.pop(m)
+            if not c or m & x1:
+                continue
+            # a table of None marks a normal monomial, no hit has bit length 0
+            if not m & flag:
+                table = straighten[((m + over) & guards).bit_length() // w]
+                if table is None and ((m + excl) & guards).bit_count() == h1:
+                    table = self._exclusion
+            elif ((m + self._y_excl) & self._y_guards).bit_count() == self.n - h1:
+                # the one rule that is not a constant packed change
+                (square, sign), mask = self.square, self._mask
+                exps = [(m >> s) & mask for s in self._y_shifts]
+                table = ((self.pure(exps) + self.pure(square) - m, sign),)
+            else:
+                hit = (m + self._y_over) & self._y_guards
+                table = self._y_straighten[hit.bit_length() // w]
+            if table is None:
+                out[m] = c
+                continue
+            for delta, cr in table:
+                m2 = m + delta
+                c2 = pending.get(m2)
+                if c2 is not None:
+                    pending[m2] = c2 + c * cr
+                elif m2 < m:
+                    pending[m2] = c * cr
+                    heapq.heappush(heap, -m2)
+                else:
+                    raise NonTerminating(
+                        f"rewriting {self.monomial(m).pretty()} produced "
+                        f"{self.monomial(m2).pretty()}, which is not lower"
+                    )
+        return out
 
 
-def _rewrite_key(exps: tuple[int, ...], y: int, n: int) -> tuple:
-    """Position of the monomial (exps, y) in the rewrite order as a min-heap
-    key (smallest key = highest monomial).  y_n monomials come first; then
-    y_k (k < n), by the x-exponents read from x_1 upward, ties broken by k;
-    then pure-x monomials, by the x-exponents read from x_n down.  Distinct
-    monomials get distinct keys, and every rule of _find_rewrite replaces a
-    monomial by strictly lower ones."""
-    if not y:
-        return (2, *map(neg, reversed(exps)))
-    if y == n:
-        return (0, *map(neg, exps))
-    return (1, *map(neg, exps), y)
+_rewriter = lru_cache(maxsize=_RING_CACHE_SIZE)(_Rewriter)
 
 
 def normal_form(e: XYElement, h: HessenbergFunction) -> XYElement:
-    """Reduce modulo the one-row ideal onto the span of B1 and B2.
-
-    Monomials are taken highest first in the rewrite order, so each one is
-    rewritten once, after every contribution to its coefficient has arrived.
-    The rules run on (exps, y) pairs; an XYMonomial is built once for each
-    output term.  Raises NonTerminating if a rule fails to descend in that
-    order."""
-    h1 = _one_row_h1(h)
-    n = h.n
+    """Reduce modulo the one-row ideal onto the span of B1 and B2, through
+    the rewriter of (h(1), n).  Raises NonTerminating if a rule fails to
+    lower a monomial."""
+    rw = _rewriter(_one_row_h1(h), h.n)
     _check_n(e.n, h)
-    # rewrite key -> [exps, y, coefficient]; keys hash faster than monomials
-    pending = {}
-    for m, c in e.terms.items():
-        y = m.y or 0
-        pending[_rewrite_key(m.xexp, y, n)] = [m.xexp, y, c]
-    heap = list(pending)
-    heapq.heapify(heap)
-    out: dict[XYMonomial, int] = {}
-    while heap:
-        key = heapq.heappop(heap)
-        exps, y, c = pending.pop(key)
-        if c == 0:
-            continue
-        replacement = _find_rewrite(exps, y, n, h1)
-        if replacement is None:
-            out[XYMonomial(exps, y or None)] = c
-            continue
-        for (exps2, y2), c2 in replacement:
-            key2 = _rewrite_key(exps2, y2, n)
-            entry = pending.get(key2)
-            if entry is not None:
-                entry[2] += c * c2
-            elif key2 > key:
-                pending[key2] = [exps2, y2, c * c2]
-                heapq.heappush(heap, key2)
-            else:
-                raise NonTerminating(
-                    f"rewriting {XYMonomial(exps, y or None).pretty()} produced "
-                    f"{XYMonomial(exps2, y2 or None).pretty()}, which is not lower"
-                )
-    return XYElement(n, out)
+    return XYElement(h.n, {rw.monomial(m): c for m, c in rw.reduce(rw.pack(e)).items()})
 
 
 # --- transition blocks and related reports ------------------------------------
@@ -536,13 +598,6 @@ def coordinates(e: XYElement, elements: list[XYElement]) -> list[int]:
     return vec
 
 
-# One context per h, shared by the reports below; contexts are small (the
-# exponent tuples and elements of B1, B2 and B3, n + 2 packed rule tables and
-# one pure-x part per y-sector x-part), and the bound keeps a long-lived
-# process from holding one for every h it has seen.
-_RING_CACHE_SIZE = 8
-
-
 def _degree_ranges(exponents: list[tuple[int, ...]]) -> dict[int, range]:
     """Degree -> its positions, for exponent tuples sorted by degree."""
     out, start = {}, 0
@@ -553,8 +608,8 @@ def _degree_ranges(exponents: list[tuple[int, ...]]) -> dict[int, range]:
 
 
 class _OneRowRing:
-    """The bases B1, B2 and B3 of one one-row h, and the normal forms of
-    x^e y_n for the y-sector x-parts e.
+    """The bases B1, B2 and B3 of one one-row h, their positions, and the
+    pure-x parts of the normal forms of x^e y_n for the y-sector x-parts e.
 
     The bases are built once, by the builders of basis_B1/B2/B3, from the
     B1 exponents and x-parts sorted by degree.  So `b1_range` maps a degree
@@ -566,22 +621,15 @@ class _OneRowRing:
     NF(x^e y_n) = P_e - sum_{k<n} x^e y_k, where the pure-x part
     P_e = NF(x^e prod_{l=2}^{h(1)} (x_1 - x_l)) lies in the span of B1.
 
-    P_e is kept on packed monomials, one int each: the exponent of x_v sits
-    in field v of `width` bits, x_n in the top field, so ints compare as the
-    pure-x rewrite order does.  A field's top bit is a guard above room for
-    the ring's top degree, the largest exponent a homogeneous part reaches,
-    so adding a rule's packed exponent change never carries into the next
-    field.  P_e is built on first use from the part a degree lower,
-    P_e = NF(x_v P_(e - eps_v)), by _reduce: the pure-x rules of normal_form
-    on packed tables, highest monomial first.  The x-parts are closed under
-    lowering an exponent, so the chain stays inside them.  v is the lowest
-    variable in e: x_v times a B1 monomial leaves B1 only at the bound
-    n + 1 - v, which is highest for the lowest v (x_n leaves it always)."""
+    P_e is kept on packed monomials and built on first use by the rewriter
+    `rw` from the part a degree lower, P_e = NF(x_v P_(e - eps_v)).  The
+    x-parts are closed under lowering an exponent, so the chain stays inside
+    them.  v is the lowest variable in e: x_v times a B1 monomial leaves B1
+    only at the bound n + 1 - v, highest for the lowest v."""
 
     def __init__(self, h: HessenbergFunction):
         n = self.n = h.n
-        h1 = _one_row_h1(h)
-        self.ydeg = h1 - 1
+        rw = self.rw = _rewriter(_one_row_h1(h), n)
         b1_exps = sorted(_b1_exponents(h), key=sum)
         xparts = _y_sector_xparts(h)
         order = sorted(range(len(xparts)), key=lambda j: sum(xparts[j]))
@@ -593,72 +641,12 @@ class _OneRowRing:
         self.b3 = _b3_elements(n, self.xparts)
         self.b1_range = _degree_ranges(b1_exps)
         self.x_range = _degree_ranges(self.xparts)
-        top = max(*self.b1_range, *(d + self.ydeg for d in self.x_range), n)
-        w = self.width = top.bit_length() + 1
-        self._shifts = range(0, w * n, w)
-        guard = 1 << (w - 1)
-        self.b1_at = {self._pack(exps): pos for pos, exps in enumerate(b1_exps)}
-        # Adding _over sets the guard of field v exactly when x_v^(n+1-v)
-        # divides the monomial; adding _excl sets the guards of fields
-        # 1..h(1) exactly when x_1...x_h(1) does.
-        self._over = self._pack([guard - (n + 1 - v) for v in range(1, n + 1)])
-        self._guards = self._pack([guard] * n)
-        self._excl = self._pack([guard - 1] * h1)
-        self._excl_guards = self._pack([guard] * h1)
-        self._straighten = [None] + [
-            self._packed(_straighten_rule(v, n + 1 - v, 1, v, n)) for v in range(1, n + 1)
-        ]
-        self._exclusion = self._packed(_exclusion_rule(h1, n))
-        self._difference = dict(self._packed(_difference_product(h1, n)))
+        self.b1_at = {rw.pure(exps): pos for pos, exps in enumerate(b1_exps)}
+        # rw keeps every normal monomial, so a product reduced after this builds none
+        b2_at = [rw.y_sector(exps) | k for exps in self.xparts for k in (*range(2, n), 1)]
+        basis = [m for e in self.b1 + self.b2 for m in e.terms]
+        rw.monomials.update(zip([*self.b1_at, *b2_at], basis))
         self._parts: dict[tuple[int, ...], dict[int, int]] = {}
-
-    def _pack(self, exps) -> int:
-        return sum(map(lshift, exps, self._shifts))
-
-    def _unpack(self, m: int) -> tuple[int, ...]:
-        mask = (1 << self.width) - 1
-        return tuple((m >> (self.width * i)) & mask for i in range(self.n))
-
-    def _packed(self, table: _Table) -> tuple[tuple[int, int], ...]:
-        return tuple((self._pack(delta), c) for delta, c in table)
-
-    def _reduce(self, pending: dict[int, int]) -> dict[int, int]:
-        """The normal form of a pure-x polynomial on packed monomials, which
-        it consumes.  Each monomial is rewritten once, highest first, by the
-        rule _find_rewrite picks for it.  Raises NonTerminating if a rule
-        fails to lower the monomial."""
-        over, guards, excl, excl_guards = self._over, self._guards, self._excl, self._excl_guards
-        straighten, exclusion, w = self._straighten, self._exclusion, self.width
-        heap = [-m for m in pending]
-        heapq.heapify(heap)
-        out = {}
-        while heap:
-            m = -heapq.heappop(heap)
-            c = pending.pop(m)
-            if not c:
-                continue
-            hit = (m + over) & guards
-            if hit:
-                table = straighten[hit.bit_length() // w]
-            elif (m + excl) & excl_guards == excl_guards:
-                table = exclusion
-            else:
-                out[m] = c
-                continue
-            for delta, cr in table:
-                m2 = m + delta
-                c2 = pending.get(m2)
-                if c2 is not None:
-                    pending[m2] = c2 + c * cr
-                elif m2 < m:
-                    pending[m2] = c * cr
-                    heapq.heappush(heap, -m2)
-                else:
-                    raise NonTerminating(
-                        f"rewriting {XYMonomial(self._unpack(m)).pretty()} produced "
-                        f"{XYMonomial(self._unpack(m2)).pretty()}, which is not lower"
-                    )
-        return out
 
     def part(self, exps: tuple[int, ...]) -> dict[int, int]:
         """P_exps on packed monomials."""
@@ -666,12 +654,12 @@ class _OneRowRing:
         if form is None:
             v = next((i for i, e in enumerate(exps) if e), None)
             if v is None:
-                form = self._reduce(dict(self._difference))
+                pending = dict(self.rw.difference)
             else:
-                step = 1 << (self.width * v)
+                step = self.rw.pure((0,) * v + (1,))
                 below = self.part(exps[:v] + (exps[v] - 1,) + exps[v + 1:])
-                form = self._reduce({m + step: c for m, c in below.items()})
-            self._parts[exps] = form
+                pending = {m + step: c for m, c in below.items()}
+            form = self._parts[exps] = self.rw.reduce(pending)
         return form
 
     def part_positions(self, exps: tuple[int, ...]) -> dict[int, int]:
@@ -697,11 +685,11 @@ def transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
     NF(x^e y_n) - x^e y_1, so P_e on the B1 rows, -1 on x^e y_2..x^e y_{n-1}
     and -2 on x^e y_1."""
     ring = _one_row_ring(h)
-    n1 = ring.n - 1
+    n1, ydeg = ring.n - 1, ring.rw.ydeg
     blocks = []
-    for d in sorted(ring.b1_range.keys() | {xd + ring.ydeg for xd in ring.x_range}):
+    for d in sorted(ring.b1_range.keys() | {xd + ydeg for xd in ring.x_range}):
         r1 = ring.b1_range.get(d, range(0))
-        rx = ring.x_range.get(d - ring.ydeg, range(0))
+        rx = ring.x_range.get(d - ydeg, range(0))
         b1 = ring.b1[r1.start:r1.stop]
         lo, hi = rx.start * n1, rx.stop * n1
         rows, cols = b1 + ring.b2[lo:hi], b1 + ring.b3[lo:hi]

@@ -5,12 +5,13 @@ groups them by degree and indexes their monomials itself, takes
 ``normal_form`` of every block column and every orbit element, and chooses
 the orbits' fixed set by inserting every orbit element and then every B1
 monomial into one echelon.  The orbits come in the order of their x-parts
-read as exponent tuples from x_n down, enumerated here.  None of this is
-shared with the context in ``hesscomb.cohomology``, which slices its bases
-by degree and finds rows by position, keeps the pure-x part P_e of each
-x^e y_n normal form on packed monomials, chained through its own reducer,
-and reads the fixed set from the trailing pivots of span{P_e}.  The answers
-must be equal.
+read as exponent tuples from x_n down, enumerated here.  The context in
+``hesscomb.cohomology`` slices its bases by degree and finds rows by
+position, keeps the pure-x part P_e of each x^e y_n normal form on packed
+monomials, and reads the fixed set from the trailing pivots of span{P_e}.
+The answers must be equal.  The two share the packed reducer behind
+``normal_form``, which chains P_e, unless a test patches ``normal_form``
+here to the LIFO oracle of ``rewrite_oracle.py``.
 """
 
 import itertools

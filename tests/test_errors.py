@@ -154,6 +154,8 @@ INT_ARGUMENTS = {
     "all_permutations": all_permutations,
     "partitions_of": partitions_of,
     "Partition through count_syt": lambda v: count_syt(Partition((v, 1))),
+    "XYMonomial exponent": lambda v: XYMonomial((0, v, 0)),
+    "XYElement coefficient": lambda v: XYElement.monomial(XYMonomial((0, 1, 0)), v),
 }
 
 
@@ -167,6 +169,13 @@ def test_integer_arguments_reject_other_types(call, value):
     with pytest.raises(MalformedInput, match="must be an integer"):
         call(value)
     assert gkm._filtration.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("value", [2.0, "2", True], ids=repr)
+def test_y_index_rejects_other_types(value):
+    # as above, but None is a valid y index: the monomial has no y factor
+    with pytest.raises(MalformedInput, match="must be an integer"):
+        XYMonomial((0, 0, 0), value)
 
 
 def test_coordinates_rejects_non_monomial_basis():

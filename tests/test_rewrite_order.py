@@ -1,24 +1,24 @@
-"""The rewrite order behind normal_form, checked against the LIFO oracle.
+"""The packed rewriter behind normal_form, checked against the LIFO oracle.
 
-normal_form takes monomials highest first in the order of _rewrite_key and
-rewrites each one once.  lifo_normal_form below is the earlier loop: it pops
-the pending dict last-in-first-out, rewrites a monomial again whenever more
-coefficient reaches it, and stops at a step limit.  It stays here as the
-reference the ordered loop must reproduce wherever the old loop finishes.
+normal_form takes packed monomials highest first and rewrites each one once.
+The LIFO oracle in rewrite_oracle.py picks its rules itself and rewrites a
+monomial again whenever more coefficient reaches it, up to a step limit; it
+shares only the rule tables with the library, and the ordered loop must
+reproduce it wherever it finishes.
 """
 
+import heapq
 import itertools
 import random
 
 import blocks_oracle
 import pytest
+from rewrite_oracle import find_rewrite, lifo_normal_form, rewrite_key
 
 import hesscomb.cohomology as cohomology
 from hesscomb.cohomology import (
     XYElement,
     XYMonomial,
-    _find_rewrite,
-    _rewrite_key,
     basis_B1,
     basis_B2,
     basis_B3,
@@ -30,32 +30,6 @@ from hesscomb.cohomology import (
 )
 from hesscomb.errors import NonTerminating
 from hesscomb.hessenberg import new_hessenberg
-
-LIFO_STEP_LIMIT = 5_000_000
-
-
-def lifo_normal_form(e, h):
-    """Reference normal form: the LIFO worklist with a step limit."""
-    n = h.n
-    h1 = h(1)
-    pending = dict(e.terms)
-    out = {}
-    steps = 0
-    while pending:
-        m, c = pending.popitem()
-        if c == 0:
-            continue
-        steps += 1
-        if steps > LIFO_STEP_LIMIT:
-            raise NonTerminating("rewrite step limit exceeded")
-        replacement = _find_rewrite(m.xexp, m.y or 0, n, h1)
-        if replacement is None:
-            out[m] = out.get(m, 0) + c
-        else:
-            for (exps2, y2), c2 in replacement:
-                m2 = XYMonomial(exps2, y2 or None)
-                pending[m2] = pending.get(m2, 0) + c * c2
-    return XYElement(n, out)
 
 
 def one_row(n, h1):
@@ -92,47 +66,121 @@ def orbit_data(op):
     return (op.orbits, op.fixed)
 
 
+def fresh_rewriters():
+    """Drop every rewriter, with the contexts that hold one."""
+    cohomology._rewriter.cache_clear()
+    cohomology._one_row_ring.cache_clear()
+
+
+@pytest.fixture
+def pops(monkeypatch):
+    """The packed monomials the rewriter pops from its heap, in order."""
+    seen = []
+    real = heapq.heappop
+
+    def recording(heap):
+        item = real(heap)
+        seen.append(-item)
+        return item
+
+    monkeypatch.setattr(heapq, "heappop", recording)
+    return seen
+
+
 # --- the order ---------------------------------------------------------------------
 
 
-def test_every_rule_descends_in_the_rewrite_order():
+def test_every_rule_descends_in_the_rewrite_order(pops):
+    # Packing is one-to-one, and it puts the y sector above the pure-x one.
+    # Reducing any monomial up to the top degree pops strictly falling ints,
+    # so every rule the rewriter applies lowers the int or leaves the y
+    # sector.  The oracle's rules descend in its own order too.
     for n in range(2, 6):
         for h1 in range(1, n + 1):
+            h = one_row(n, h1)
+            rw = cohomology._rewriter(h1, n)
             top = top_degree(n, h1)
             monos = [XYMonomial(exps) for exps in exponent_vectors(n, top)]
             for exps in exponent_vectors(n, top - (h1 - 1)):
                 monos += [XYMonomial(exps, k) for k in range(1, n + 1)]
-            keys = {}
+            packed, keys = {}, {}
             for m in monos:
-                key = _rewrite_key(m.xexp, m.y or 0, n)
+                if m.y != n:
+                    (p,) = rw.pack(XYElement.monomial(m))
+                    assert packed.setdefault(p, m) == m, "two monomials share an int"
+                pops.clear()
+                normal_form(XYElement.monomial(m), h)
+                assert all(a > b for a, b in zip(pops, pops[1:])), (n, h1, m)
+                key = rewrite_key(m.xexp, m.y or 0, n)
                 assert keys.setdefault(key, m) == m, "two monomials share a key"
-                for m2, _ in _find_rewrite(m.xexp, m.y or 0, n, h1) or ():
-                    assert _rewrite_key(*m2, n) > key, (n, h1, m, m2)
+                for m2, _ in find_rewrite(m.xexp, m.y or 0, n, h1) or ():
+                    assert rewrite_key(*m2, n) > key, (n, h1, m, m2)
+            pure = [p for p, m in packed.items() if m.y is None]
+            assert max(pure) < min(p for p, m in packed.items() if m.y), (n, h1)
 
 
-def test_each_monomial_is_rewritten_once(monkeypatch):
-    seen = []
-
-    def counting(exps, y, n, h1):
-        seen.append((exps, y))
-        return _find_rewrite(exps, y, n, h1)
-
-    monkeypatch.setattr(cohomology, "_find_rewrite", counting)
+def test_each_monomial_is_rewritten_once(pops):
     h = one_row(5, 3)
     for e in basis_B3(h).elements:
-        seen.clear()
+        pops.clear()
         normal_form(e, h)
-        assert len(seen) == len(set(seen))
+        assert pops and len(pops) == len(set(pops))
 
 
 def test_non_descending_rule_raises(monkeypatch):
-    # a rule that maps x2 back onto itself would loop forever; the order catches it
-    def cyclic(exps, y, n, h1):
-        return [((exps, y), 1)] if exps == (0, 1, 0) else _find_rewrite(exps, y, n, h1)
+    # A straightening rule that maps a monomial back onto itself would loop
+    # forever; the descent check catches it in either sector: x3 by the
+    # pure-x rule for x_3, x2*y1 by the y-sector rule for x_2.
+    real = cohomology._straighten_rule
+    h = one_row(3, 2)
+    for lo, m in [(1, XYMonomial((0, 0, 1))), (2, XYMonomial((0, 1, 0), 1))]:
+        def cyclic(v, k, lo_, hi, n, lo=lo):
+            table = real(v, k, lo_, hi, n)
+            return table + (((0,) * n, 1),) if lo_ == lo else table
 
-    monkeypatch.setattr(cohomology, "_find_rewrite", cyclic)
-    with pytest.raises(NonTerminating):
-        normal_form(XYElement.monomial(XYMonomial((0, 1, 0))), one_row(3, 2))
+        fresh_rewriters()
+        monkeypatch.setattr(cohomology, "_straighten_rule", cyclic)
+        try:
+            with pytest.raises(NonTerminating, match="which is not lower"):
+                normal_form(XYElement.monomial(m), h)
+        finally:
+            monkeypatch.setattr(cohomology, "_straighten_rule", real)
+            fresh_rewriters()
+        e = XYElement.monomial(m)
+        assert normal_form(e, h) == lifo_normal_form(e, h)
+
+
+# --- terms above the top degree ----------------------------------------------------
+
+
+def test_terms_above_the_top_degree_vanish_at_once(pops):
+    # the rules keep the degree and B1, B2 have nothing above the top, so
+    # such terms are dropped before the heap; rewriting the first element
+    # rule by rule takes about 52 s to reach 0
+    h = one_row(5, 2)
+    top = top_degree(5, 2)
+    for terms in ({XYMonomial((0, 100, 0, 0, 0)): 1, XYMonomial((0, 0, 100, 0, 0), 3): 1},
+                  {XYMonomial((0, 0, 0, 0, top + 1)): 2},
+                  {XYMonomial((0, 0, 0, 1, top - 1), 4): 1},
+                  {XYMonomial((0, 0, 0, 0, top), 5): -1}):
+        pops.clear()
+        assert normal_form(XYElement(5, terms), h).is_zero()
+        assert not pops
+
+
+def test_terms_above_the_top_degree_match_lifo_oracle():
+    rng = random.Random(3)
+    for n in range(2, 5):
+        for h1 in range(1, n + 1):
+            h = one_row(n, h1)
+            top = top_degree(n, h1)
+            for degree, y in itertools.product(range(top + 1, top + 4), [None, *range(1, n + 1)]):
+                xdegree = degree - (h1 - 1 if y else 0)
+                exps = [0] * n
+                for _ in range(xdegree):
+                    exps[rng.randrange(n)] += 1
+                e = XYElement.monomial(XYMonomial(tuple(exps), y))
+                assert normal_form(e, h) == lifo_normal_form(e, h), (h, e.pretty())
 
 
 # --- the ordered loop against the LIFO oracle --------------------------------------
@@ -150,7 +198,8 @@ def test_random_elements_match_lifo_oracle():
 
 @pytest.mark.parametrize(
     "values",
-    [[h1, 5, 5, 5, 5] for h1 in range(1, 6)] + [[5] + [6] * 5, [6] * 6],
+    [[h1] + [n] * (n - 1) for n in range(1, 6) for h1 in range(1, n + 1)]
+    + [[5] + [6] * 5, [6] * 6],
     ids=lambda v: "".join(map(str, v[:2])),
 )
 def test_blocks_and_orbits_match_lifo_oracle(values, monkeypatch):
@@ -158,7 +207,7 @@ def test_blocks_and_orbits_match_lifo_oracle(values, monkeypatch):
     # per-column oracle takes the normal form of every column and orbit
     # element, here through the LIFO loop
     h = new_hessenberg(values)
-    cohomology._one_row_ring.cache_clear()
+    fresh_rewriters()
     blocks = transition_blocks(h)
     orbits = orbit_data(permutation_orbits(h)) if h(1) < h.n else None
     lifo_calls = []
@@ -181,8 +230,9 @@ def test_blocks_and_orbits_match_lifo_oracle(values, monkeypatch):
 
 def test_product_beyond_the_lifo_step_limit():
     # At (5,6,6,6,6,6) the LIFO loop exceeds 5,000,000 steps on this product
-    # of two B3 elements (about 100 s) and raises NonTerminating; the ordered
-    # loop finishes in well under a second.
+    # of two B3 elements (about 100 s) and raises NonTerminating.  Its degree,
+    # 9 + 7, lies above the top degree 14, so it is 0, and normal_form drops
+    # it before any rewriting.
     h = new_hessenberg([5, 6, 6, 6, 6, 6])
     a = b3_element((0, 0, 1, 2, 2, 0), 2)
     b = b3_element((0, 0, 1, 0, 2, 0), 3)
@@ -190,14 +240,15 @@ def test_product_beyond_the_lifo_step_limit():
     nf = normal_form(multiply(h, a, b), h)
     union = list(basis_B1(h).elements) + list(basis_B2(h).elements)
     coordinates(nf, union)
-    assert nf == normal_form(multiply(h, b, a), h)
+    assert nf.is_zero() and normal_form(multiply(h, b, a), h).is_zero()
 
 
 # --- monomial objects -------------------------------------------------------------
 
 
 def test_normal_form_builds_one_monomial_per_output_term(monkeypatch):
-    # the rules run on exponent tuples; an XYMonomial is built only for the output
+    # the rules run on packed ints; a fresh rewriter builds an XYMonomial
+    # only for each output term, and keeps it for the next call
     h = one_row(5, 3)
     cases = [(e, h) for e in basis_B3(h).elements]
     h6 = new_hessenberg([5, 6, 6, 6, 6, 6])
@@ -211,7 +262,38 @@ def test_normal_form_builds_one_monomial_per_output_term(monkeypatch):
         return XYMonomial(*args)
 
     monkeypatch.setattr(cohomology, "XYMonomial", counting)
-    for e, h in cases:
-        made.clear()
-        nf = normal_form(e, h)
-        assert len(made) == len(nf.terms), e.pretty()
+    try:
+        for e, h in cases:
+            fresh_rewriters()
+            made.clear()
+            nf = normal_form(e, h)
+            assert len(made) == len(nf.terms), e.pretty()
+            made.clear()
+            assert normal_form(e, h) == nf and not made, e.pretty()
+    finally:
+        fresh_rewriters()
+
+
+def test_normal_form_builds_no_monomial_once_the_ring_exists(monkeypatch):
+    # the ring hands its B1 and B2 monomials to the rewriter, so a product
+    # reduced after a block or orbit report builds no XYMonomial at all
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return XYMonomial(*args)
+
+    h = new_hessenberg([5, 6, 6, 6, 6, 6])
+    cases = [multiply(h, b3_element((0, 0, 1, 2, 2, 0), 2), b3_element((0, 0, 1, 0, 2, 0), 3))]
+    cases += list(basis_B3(h).elements)
+    fresh_rewriters()
+    try:
+        ring = cohomology._one_row_ring(h)
+        basis = {m: m for e in ring.b1 + ring.b2 for m in e.terms}
+        monkeypatch.setattr(cohomology, "XYMonomial", counting)
+        for e in cases:
+            nf = normal_form(e, h)
+            assert not made, e.pretty()
+            assert all(basis[m] is m for m in nf.terms), e.pretty()
+    finally:
+        fresh_rewriters()
