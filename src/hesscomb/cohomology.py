@@ -18,6 +18,7 @@ from operator import add, lshift, sub
 
 from .errors import (
     DegenerateForm,
+    MalformedInput,
     NonTerminating,
     NotInBasis,
     NotSquare,
@@ -46,6 +47,8 @@ class XYMonomial:
     y: int | None = None
 
     def __post_init__(self):
+        if type(self.xexp) is not tuple:
+            raise MalformedInput(f"the exponents must be a tuple, got {self.xexp!r:.40}")
         if not self.xexp:
             raise ShapeMismatch("empty exponent vector")
         for e in self.xexp:
@@ -93,6 +96,8 @@ class XYElement:
     terms: dict[XYMonomial, int]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            checked_int(self.n, "n")
         clean = {}
         for m, c in self.terms.items():
             if type(c) is not int:
@@ -109,7 +114,7 @@ class XYElement:
 
     @classmethod
     def one(cls, n: int) -> "XYElement":
-        return cls(n, {XYMonomial((0,) * n): 1})
+        return cls(n, {XYMonomial((0,) * checked_int(n, "n")): 1})
 
     @classmethod
     def monomial(cls, m: XYMonomial, c: int = 1) -> "XYElement":

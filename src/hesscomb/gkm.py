@@ -152,8 +152,8 @@ class GkmClass:
     @classmethod
     def constant(cls, n: int, value: IntPoly | int) -> "GkmClass":
         checked_int(n, "n")
-        if isinstance(value, int):
-            value = IntPoly.const(n, value)
+        if type(value) is not IntPoly:
+            value = IntPoly.const(n, checked_int(value, "a constant value"))
         return cls(n, {w: value for w in all_permutations(n)})
 
     @classmethod
@@ -214,6 +214,7 @@ class GkmClass:
 
 def class_t(n: int, k: int) -> GkmClass:
     """The constant class w -> t_k."""
+    checked_int(n, "n")
     if not 1 <= checked_int(k, "k") <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     return GkmClass.constant(n, IntPoly.var(n, k))
@@ -221,6 +222,7 @@ def class_t(n: int, k: int) -> GkmClass:
 
 def class_x(n: int, k: int) -> GkmClass:
     """The class w -> t_{w(k)}."""
+    checked_int(n, "n")
     if not 1 <= checked_int(k, "k") <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
     return GkmClass(n, {w: IntPoly.var(n, w[k - 1]) for w in all_permutations(n)})

@@ -153,7 +153,7 @@ _GOLDENS: dict[str, dict] = {
 
 
 def lookup(key: str) -> dict:
-    if key not in _GOLDENS:
+    if type(key) is not str or key not in _GOLDENS:
         raise KeyNotFound(f"no golden named {key!r}")
     return copy.deepcopy(_GOLDENS[key])
 

@@ -20,10 +20,12 @@ class IntPoly:
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, c in terms.items():
+                if type(c) is not int:
+                    checked_int(c, "a coefficient")
                 if c:
                     if len(exps) != nvars:
                         raise ShapeMismatch("exponent tuple of wrong length")
-                    clean[tuple(exps)] = int(c)
+                    clean[tuple(exps)] = c
         self.terms = clean
 
     @classmethod
@@ -50,7 +52,7 @@ class IntPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPoly.const(self.nvars, other)
         if not isinstance(other, IntPoly):
             return NotImplemented

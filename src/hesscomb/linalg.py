@@ -16,65 +16,33 @@ from itertools import compress
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free, sparse).
 
-    Rows are taken in order as sparse dicts and each is top-reduced against
-    the pivot rows before it, as IntEchelon.reduce does: row := b*row - a*pivot
-    with a, b the two leads divided by their gcd.  Scaling a row by b scales
-    the determinant by b, so the scalings are multiplied into a divisor and
-    divided out once at the end; a pivot row is stored divided by its
-    content, which goes into the product.  The reduced rows then have distinct lead
-    columns, and the determinant is the product of their leads times the sign
-    of the permutation from rows to leads.  A unit pivot costs one pass over
-    its own entries and a unit column costs nothing, so a block-triangular,
-    mostly-unit matrix costs about its nonzeros."""
+    The rows go in order through the reduction and store steps of a fresh
+    IntEchelon.  Each reduction step scales the row, and so the determinant,
+    by an integer; the scalings make a divisor taken out at the end.  Storing
+    divides the row by its signed content, which goes into the product with
+    the stored lead.  The leads are distinct columns, so the determinant is
+    their product times the sign of the permutation from rows to leads.  A
+    block-triangular, mostly-unit matrix costs about its nonzeros."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     columns = range(n)
-    pivots: dict[int, dict[int, int]] = {}
-    leads = []
+    ech = IntEchelon()
     product = divisor = 1
     for r in rows:
         row = {j: int(r[j]) for j in compress(columns, r)}
-        get = row.get
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                break
-            g = math.gcd(row[lead], piv[lead])
-            a = row[lead] // g
-            b = piv[lead] // g
-            if b != 1:
-                for c in row:
-                    row[c] *= b
-                divisor *= b
-            for c, v in piv.items():
-                x = get(c, 0) - v * a
-                if x:
-                    row[c] = x
-                else:
-                    del row[c]
+        divisor *= ech._top_reduce(row)
         if not row:
             return 0
-        if abs(row[lead]) != 1:
-            g = math.gcd(*row.values())
-            if g != 1:
-                row = {c: v // g for c, v in row.items()}
-                product *= g
-        pivots[lead] = row
-        leads.append(lead)
-        product *= row[lead]
-    # i -> leads[i] is a permutation; its sign is (-1)^(n - number of cycles)
-    cycles = 0
-    seen = [False] * n
+        lead, content = ech._store(row)
+        product *= content * ech.pivots[lead][lead]
+    # put each lead in place by transpositions; each one flips the sign
+    leads = list(ech.pivots)
+    sign = 1
     for i in columns:
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = leads[j]
-    sign = -1 if (n - cycles) % 2 else 1
+        while (j := leads[i]) != i:
+            leads[i], leads[j] = leads[j], j
+            sign = -sign
     return sign * product // divisor
 
 
@@ -99,43 +67,59 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, entries: dict[int, int]) -> dict[int, int]:
-        """Top-reduce a row until its lead column has no pivot; the result is
-        a new dict, scaled arbitrarily, and empty when the row is in the span."""
-        row = {c: v for c, v in entries.items() if v}
+    def _top_reduce(self, row: dict[int, int]) -> int:
+        """Top-reduce a row of nonzero entries in place until its lead column
+        has no pivot, each step row := b*row - a*pivot with a, b the two leads
+        divided by their gcd; return the product of the scalings b."""
+        pivots = self.pivots
         get = row.get
+        scale = 1
         while row:
             lead = min(row)
-            piv = self.pivots.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
                 break
             g = math.gcd(row[lead], piv[lead])
-            rv = row[lead] // g
-            pv = piv[lead] // g
-            if pv != 1:
+            a = row[lead] // g
+            b = piv[lead] // g
+            if b != 1:
                 for c in row:
-                    row[c] *= pv
+                    row[c] *= b
+                scale *= b
             for c, v in piv.items():
-                x = get(c, 0) - v * rv
+                x = get(c, 0) - v * a
                 if x:
                     row[c] = x
                 else:
                     del row[c]
-        return row
+        return scale
 
-    def insert(self, entries: dict[int, int]) -> bool:
-        """Insert a row; return True when it increases the rank."""
-        row = self.reduce(entries)
-        if not row:
-            return False
+    def _store(self, row: dict[int, int]) -> tuple[int, int]:
+        """Record a nonzero top-reduced row as a pivot, divided by its content
+        signed so the lead is positive; return the lead column and that
+        signed content."""
         lead = min(row)
-        g = math.gcd(*row.values())
+        g = math.gcd(*row.values()) if abs(row[lead]) != 1 else 1
         if row[lead] < 0:
             g = -g
         if g != 1:
             row = {c: v // g for c, v in row.items()}
         self.pivots[lead] = row
-        return True
+        return lead, g
+
+    def reduce(self, entries: dict[int, int]) -> dict[int, int]:
+        """Top-reduce a row until its lead column has no pivot; the result is
+        a new dict, scaled arbitrarily, and empty when the row is in the span."""
+        row = {c: v for c, v in entries.items() if v}
+        self._top_reduce(row)
+        return row
+
+    def insert(self, entries: dict[int, int]) -> bool:
+        """Insert a row; return True when it increases the rank."""
+        row = self.reduce(entries)
+        if row:
+            self._store(row)
+        return bool(row)
 
     def contains(self, entries: dict[int, int]) -> bool:
         """Membership of a row in the current row span."""

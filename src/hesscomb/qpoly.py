@@ -25,10 +25,13 @@ class QPolynomial:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
+                if type(e) is not int or type(c) is not int:
+                    checked_int(e, "an exponent")
+                    checked_int(c, "a coefficient")
                 if c:
                     if e < 0:
                         raise OutOfRange("negative exponent")
-                    clean[int(e)] = int(c)
+                    clean[e] = c
         self.coeffs = clean
 
     @classmethod
@@ -62,7 +65,7 @@ class QPolynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = QPolynomial.from_int(other)
         if not isinstance(other, QPolynomial):
             return NotImplemented

@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import BasisMismatch, DegreeTooLarge, NotSymmetric, checked_int, json_decoder
+from .errors import BasisMismatch, DegreeTooLarge, NotSymmetric, OutOfRange, checked_int, json_decoder
 from .hessenberg import HessenbergFunction, IncGraph
 from .qpoly import QPolynomial
 from .tableaux import Partition, conjugate, inversion_counts
@@ -283,6 +283,8 @@ def csf_by_coloring(g: IncGraph) -> SymFn:
     full = (1 << n) - 1
     below = [0] * n  # below[v]: neighbors u < v, as a bitmask of 0-based vertices
     for i, j in g.edges:
+        if not 1 <= i < j <= n:
+            raise OutOfRange(f"edge {(i, j)} is not a pair i < j in 1..{n}")
         below[j - 1] |= 1 << (i - 1)
     # A set is stable when it is empty, or its highest vertex v has no
     # neighbor below it in the set and the rest is stable.

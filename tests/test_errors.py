@@ -12,7 +12,9 @@ from hesscomb import (
     GkmClass,
     HesscombError,
     HessenbergFunction,
+    IncGraph,
     IntPoly,
+    KeyNotFound,
     KOutOfRange,
     MalformedInput,
     NotInBasis,
@@ -31,9 +33,11 @@ from hesscomb import (
     class_y,
     coordinates,
     count_syt,
+    csf_by_coloring,
     element_to_gkm,
     graded_quotient_rank,
     in_t_ideal,
+    lookup,
     monomial_to_gkm,
     multiply,
     new_hessenberg,
@@ -143,6 +147,8 @@ INT_ARGUMENTS = {
     "sn_fixed_rank": lambda v: sn_fixed_rank(H233, v),
     "class_t": lambda v: class_t(3, v),
     "class_x": lambda v: class_x(3, v),
+    "class_t n": lambda v: class_t(v, 1),
+    "class_x n": lambda v: class_x(v, 1),
     "class_y": lambda v: class_y(H233, v),
     "syt_with_bottom_pair n": lambda v: syt_with_bottom_pair(v, 2),
     "syt_with_bottom_pair k": lambda v: syt_with_bottom_pair(3, v),
@@ -150,12 +156,19 @@ INT_ARGUMENTS = {
     "q_factorial": q_factorial,
     "all_hessenberg_functions": lambda v: list(all_hessenberg_functions(v)),
     "IntPoly.var": lambda v: IntPoly.var(3, v),
+    "IntPoly coefficient": lambda v: IntPoly(2, {(1, 0): v}),
+    "QPolynomial exponent": lambda v: QPolynomial({v: 1}),
+    "QPolynomial coefficient": lambda v: QPolynomial({1: v}),
+    "QPolynomial.q": QPolynomial.q,
     "GkmClass.constant": lambda v: GkmClass.constant(v, 1),
+    "GkmClass.constant value": lambda v: GkmClass.constant(3, v),
     "all_permutations": all_permutations,
     "partitions_of": partitions_of,
     "Partition through count_syt": lambda v: count_syt(Partition((v, 1))),
     "XYMonomial exponent": lambda v: XYMonomial((0, v, 0)),
     "XYElement coefficient": lambda v: XYElement.monomial(XYMonomial((0, 1, 0)), v),
+    "XYElement n": lambda v: XYElement(v, {}),
+    "XYElement.one": XYElement.one,
 }
 
 
@@ -176,6 +189,25 @@ def test_y_index_rejects_other_types(value):
     # as above, but None is a valid y index: the monomial has no y factor
     with pytest.raises(MalformedInput, match="must be an integer"):
         XYMonomial((0, 0, 0), value)
+
+
+@pytest.mark.parametrize("exps", [[0, 1], "01", range(2)], ids=repr)
+def test_monomial_exponents_must_be_a_tuple(exps):
+    # a list would be accepted and then fail as an unhashable dict key
+    with pytest.raises(MalformedInput, match="must be a tuple"):
+        XYMonomial(exps)
+
+
+@pytest.mark.parametrize("key", [["fig4"], {"fig4": 1}, 4, None], ids=repr)
+def test_golden_lookup_rejects_keys_that_are_not_names(key):
+    with pytest.raises(KeyNotFound):
+        lookup(key)
+
+
+@pytest.mark.parametrize("edge", [(1, 5), (0, 1), (2, 1), (2, 2)])
+def test_coloring_rejects_edges_outside_the_vertices(edge):
+    with pytest.raises(OutOfRange):
+        csf_by_coloring(IncGraph(3, frozenset({edge})))
 
 
 def test_coordinates_rejects_non_monomial_basis():
