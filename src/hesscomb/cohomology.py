@@ -193,6 +193,27 @@ class XYElement:
         return cls(n, terms)
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _monomial(xexp: tuple[int, ...], y: int | None = None) -> XYMonomial:
+    """XYMonomial(xexp, y) without the checks of __post_init__, for exponents
+    and y indices that are valid by construction."""
+    m = _new(XYMonomial)
+    _set(m, "xexp", xexp)
+    _set(m, "y", y)
+    return m
+
+
+def _element(n: int, terms: dict[XYMonomial, int]) -> XYElement:
+    """XYElement(n, terms) without the checks and copy of __post_init__, for
+    monomials in n variables with nonzero int coefficients."""
+    e = _new(XYElement)
+    _set(e, "n", n)
+    _set(e, "terms", terms)
+    return e
+
+
 def _check_n(n: int, h: HessenbergFunction) -> None:
     if n != h.n:
         raise ShapeMismatch(f"{n} variables, but h = {h} has n = {h.n}")
@@ -276,7 +297,7 @@ def _b1_exponents(h: HessenbergFunction) -> list[tuple[int, ...]]:
 
 
 def _b1_elements(exponents: list[tuple[int, ...]]) -> tuple[XYElement, ...]:
-    return tuple(XYElement.monomial(XYMonomial(exps)) for exps in exponents)
+    return tuple(_element(len(exps), {_monomial(exps): 1}) for exps in exponents)
 
 
 def basis_B1(h: HessenbergFunction) -> BasisSet:
@@ -293,9 +314,7 @@ def _y_sector_xparts(h: HessenbergFunction) -> list[tuple[int, ...]]:
 
 def _b2_elements(n: int, xparts: list[tuple[int, ...]]) -> tuple[XYElement, ...]:
     """x^e y_2, ..., x^e y_{n-1}, x^e y_1 for each x-part e, in that order."""
-    return tuple(
-        XYElement.monomial(XYMonomial(exps, k)) for exps in xparts for k in (*range(2, n), 1)
-    )
+    return tuple(_element(n, {_monomial(exps, k): 1}) for exps in xparts for k in (*range(2, n), 1))
 
 
 def basis_B2(h: HessenbergFunction) -> BasisSet:
@@ -309,7 +328,7 @@ def basis_B2(h: HessenbergFunction) -> BasisSet:
 def _b3_elements(n: int, xparts: list[tuple[int, ...]]) -> tuple[XYElement, ...]:
     """x^e (y_{k+1} - y_1) for each x-part e and k = 1..n-1, in that order."""
     return tuple(
-        XYElement(n, {XYMonomial(exps, k + 1): 1, XYMonomial(exps, 1): -1})
+        _element(n, {_monomial(exps, k + 1): 1, _monomial(exps, 1): -1})
         for exps in xparts
         for k in range(1, n)
     )
@@ -497,7 +516,7 @@ class _Rewriter:
         if mono is None:
             y = m & self._mask if m & self._flag else None
             shifts = self._y_shifts if y else self._x_shifts
-            mono = XYMonomial(tuple((m >> s) & self._mask for s in shifts), y)
+            mono = _monomial(tuple((m >> s) & self._mask for s in shifts), y)
             self.monomials[m] = mono
         return mono
 
@@ -556,7 +575,7 @@ def normal_form(e: XYElement, h: HessenbergFunction) -> XYElement:
     lower a monomial."""
     rw = _rewriter(_one_row_h1(h), h.n)
     _check_n(e.n, h)
-    return XYElement(h.n, {rw.monomial(m): c for m, c in rw.reduce(rw.pack(e)).items()})
+    return _element(h.n, {rw.monomial(m): c for m, c in rw.reduce(rw.pack(e)).items()})
 
 
 # --- transition blocks and related reports ------------------------------------
@@ -564,21 +583,37 @@ def normal_form(e: XYElement, h: HessenbergFunction) -> XYElement:
 
 @dataclass(frozen=True)
 class TransitionBlock:
-    """Columns are B1 and B3 elements of one degree in B1-and-B2 coordinates."""
+    """Columns are B1 and B3 elements of one degree in B1-and-B2 coordinates,
+    each a sparse map row -> nonzero coefficient; a B1 column j is {j: 1}.
+    The dense matrix is built on request."""
 
     degree: int
-    matrix: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, int], ...]
     row_elements: tuple[XYElement, ...]
     col_elements: tuple[XYElement, ...]
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.row_elements)
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        rows = [[0] * len(self.columns) for _ in self.row_elements]
+        for j, col in enumerate(self.columns):
+            for i, c in col.items():
+                rows[i][j] = c
+        return tuple(map(tuple, rows))
 
     def determinant(self) -> int:
-        if any(len(row) != len(self.matrix) for row in self.matrix):
+        """det of the block as det of its transpose: the columns go to
+        bareiss_det as sparse rows, where the B1 columns are unit rows that
+        drop out before the elimination."""
+        if len(self.columns) != self.size:
             raise NotSquare("non-square transition block")
-        return bareiss_det(self.matrix)
+        try:
+            return bareiss_det(self.columns)
+        except ValueError:
+            raise NotSquare("a column has an entry outside the block") from None
 
     def to_csv(self) -> str:
         lines = [f"degree,{self.degree}"]
@@ -698,21 +733,18 @@ def transition_blocks(h: HessenbergFunction) -> list[TransitionBlock]:
         b1 = ring.b1[r1.start:r1.stop]
         lo, hi = rx.start * n1, rx.stop * n1
         rows, cols = b1 + ring.b2[lo:hi], b1 + ring.b3[lo:hi]
-        matrix = [[0] * len(cols) for _ in rows]
-        for j in range(len(b1)):
-            matrix[j][j] = 1
+        columns = [{j: 1} for j in range(len(b1))]
         for i in rx:
             first = len(b1) + i * n1 - lo  # row x^e y_2, column x^e (y_2 - y_1)
             last = first + n1 - 1  # row x^e y_1, column x^e (y_n - y_1)
-            for j in range(first, last):
-                matrix[j][j] = 1
-                matrix[last][j] = matrix[j][last] = -1
-            matrix[last][last] = -2
-            for pos, c in ring.part_positions(ring.xparts[i]).items():
-                if pos not in r1:
-                    raise NotInBasis(f"normal form of {cols[last].pretty()} leaves its degree")
-                matrix[pos - r1.start][last] = c
-        blocks.append(TransitionBlock(2 * d, tuple(map(tuple, matrix)), rows, cols))
+            columns += ({j: 1, last: -1} for j in range(first, last))
+            col = {pos - r1.start: c for pos, c in ring.part_positions(ring.xparts[i]).items()}
+            if col and (min(col) < 0 or max(col) >= len(b1)):
+                raise NotInBasis(f"normal form of {cols[last].pretty()} leaves its degree")
+            col.update(dict.fromkeys(range(first, last), -1))
+            col[last] = -2
+            columns.append(col)
+        blocks.append(TransitionBlock(2 * d, tuple(columns), rows, cols))
     return blocks
 
 
@@ -760,7 +792,7 @@ def permutation_orbits(h: HessenbergFunction) -> OrbitPartition:
         ech.insert({last - pos: c for pos, c in ring.part_positions(exps).items()})
         # B2 holds x^e y_2..x^e y_(n-1), then x^e y_1
         orbits.append((ring.b2[slot + n - 2], *ring.b2[slot:slot + n - 2],
-                       XYElement.monomial(XYMonomial(exps, n))))
+                       _element(n, {_monomial(exps, n): 1})))
     fixed = tuple(e for pos, e in enumerate(ring.b1) if last - pos not in ech.pivots)
     return OrbitPartition(tuple(orbits), fixed)
 

@@ -19,6 +19,7 @@ from .errors import (
     FormMismatch,
     HesscombError,
     KOutOfRange,
+    MalformedInput,
     OddDegree,
     OutOfRange,
     ShapeMismatch,
@@ -173,15 +174,20 @@ class GkmClass:
             return other
         if isinstance(other, (int, IntPoly)):
             return GkmClass.constant(self.n, other)
-        return NotImplemented
+        raise MalformedInput(f"cannot combine a class with {other!r:.40}")
 
     def __add__(self, other) -> "GkmClass":
         o = self._coerce(other)
         return GkmClass(self.n, {w: self.values[w] + o.values[w] for w in self.values})
 
+    __radd__ = __add__
+
     def __sub__(self, other) -> "GkmClass":
         o = self._coerce(other)
         return GkmClass(self.n, {w: self.values[w] - o.values[w] for w in self.values})
+
+    def __rsub__(self, other) -> "GkmClass":
+        return self._coerce(other) - self
 
     def __neg__(self) -> "GkmClass":
         return GkmClass(self.n, {w: -p for w, p in self.values.items()})

@@ -2,14 +2,15 @@
 
 The values of GKM classes at the vertices, polynomials in the torus
 variables t_1..t_n.  Terms are a sparse map from exponent tuples (length
-nvars) to nonzero ints.
+nvars) to nonzero ints.  The constructor checks its input; arithmetic builds
+its results through IntPoly._of, which takes terms as given.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import KOutOfRange, ShapeMismatch, checked_int
+from .errors import KOutOfRange, MalformedInput, ShapeMismatch, checked_int
 
 
 class IntPoly:
@@ -25,8 +26,19 @@ class IntPoly:
                 if c:
                     if len(exps) != nvars:
                         raise ShapeMismatch("exponent tuple of wrong length")
+                    for e in exps:
+                        if type(e) is not int:
+                            checked_int(e, "an exponent")
                     clean[tuple(exps)] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "IntPoly":
+        """The polynomial with these terms, unchecked: exponent tuples of
+        length nvars and nonzero int coefficients."""
+        p = object.__new__(cls)
+        p.nvars, p.terms = nvars, terms
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "IntPoly":
@@ -64,6 +76,8 @@ class IntPoly:
     def _coerce(self, other) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly.const(self.nvars, other)
+        if not isinstance(other, IntPoly):
+            raise MalformedInput(f"cannot combine a polynomial with {other!r:.40}")
         if other.nvars != self.nvars:
             raise ShapeMismatch("variable count mismatch")
         return other
@@ -73,12 +87,12 @@ class IntPoly:
         acc = dict(self.terms)
         for e, c in other.terms.items():
             acc[e] = acc.get(e, 0) + c
-        return IntPoly(self.nvars, acc)
+        return IntPoly._of(self.nvars, {e: c for e, c in acc.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return IntPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "IntPoly":
         return self + (-self._coerce(other))
@@ -88,14 +102,14 @@ class IntPoly:
 
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
-            return IntPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return IntPoly._of(self.nvars, {e: c * other for e, c in self.terms.items() if other})
         other = self._coerce(other)
         acc: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = acc.get(key, 0) + c1 * c2
-        return IntPoly(self.nvars, acc)
+        return IntPoly._of(self.nvars, {e: c for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 

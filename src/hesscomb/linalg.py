@@ -13,33 +13,48 @@ from fractions import Fraction
 from itertools import compress
 
 
-def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+def bareiss_det(rows: Sequence[Sequence[int] | dict[int, int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free, sparse).
 
-    The rows go in order through the reduction and store steps of a fresh
-    IntEchelon.  Each reduction step scales the row, and so the determinant,
-    by an integer; the scalings make a divisor taken out at the end.  Storing
+    A row is a dense sequence of n entries or a sparse dict column -> entry.
+    A diagonal unit row e_i is dropped with column i: Laplace expansion along
+    it has the one term +det of the minor, so the identity part of a
+    block-triangular matrix never reaches the elimination.  The other rows go
+    in order through the reduction and store steps of a fresh IntEchelon.
+    Each reduction step scales the row, and so the determinant, by an
+    integer; the scalings make a divisor taken out at the end.  Storing
     divides the row by its signed content, which goes into the product with
-    the stored lead.  The leads are distinct columns, so the determinant is
-    their product times the sign of the permutation from rows to leads.  A
-    block-triangular, mostly-unit matrix costs about its nonzeros."""
+    the stored lead.  The leads are the kept columns, which are the indices
+    of the kept rows, so the determinant is their product times the sign of
+    the permutation from kept rows to leads.  The cost is about the nonzeros
+    of the rows that are not diagonal units."""
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
     columns = range(n)
+    units, kept = set(), {}
+    for i, r in enumerate(rows):
+        if not isinstance(r, dict):
+            if len(r) != n:
+                raise ValueError("matrix is not square")
+            r = {j: int(r[j]) for j in compress(columns, r)}
+        if len(r) == 1 and r.get(i) == 1:
+            units.add(i)
+        elif r and (min(r) < 0 or max(r) >= n):
+            raise ValueError("matrix is not square")
+        else:
+            kept[i] = r
     ech = IntEchelon()
     product = divisor = 1
-    for r in rows:
-        row = {j: int(r[j]) for j in compress(columns, r)}
+    for r in kept.values():
+        row = {j: v for j, v in r.items() if v and j not in units}
         divisor *= ech._top_reduce(row)
         if not row:
             return 0
         lead, content = ech._store(row)
         product *= content * ech.pivots[lead][lead]
-    # put each lead in place by transpositions; each one flips the sign
-    leads = list(ech.pivots)
+    # put each kept row's lead in place by transpositions; each one flips the sign
+    leads = dict(zip(kept, ech.pivots))
     sign = 1
-    for i in columns:
+    for i in leads:
         while (j := leads[i]) != i:
             leads[i], leads[j] = leads[j], j
             sign = -sign

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import OutOfRange, checked_int
+from .errors import MalformedInput, OutOfRange, checked_int
 
 
 class QPolynomial:
@@ -74,9 +74,16 @@ class QPolynomial:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def __add__(self, other: "QPolynomial | int") -> "QPolynomial":
+    @staticmethod
+    def _coerce(other: "QPolynomial | int") -> "QPolynomial":
+        if isinstance(other, QPolynomial):
+            return other
         if isinstance(other, int):
-            other = QPolynomial.from_int(other)
+            return QPolynomial.from_int(other)
+        raise MalformedInput(f"cannot combine a q-polynomial with {other!r:.40}")
+
+    def __add__(self, other: "QPolynomial | int") -> "QPolynomial":
+        other = self._coerce(other)
         acc = dict(self.coeffs)
         for e, c in other.coeffs.items():
             acc[e] = acc.get(e, 0) + c
@@ -88,11 +95,15 @@ class QPolynomial:
         return QPolynomial({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "QPolynomial | int") -> "QPolynomial":
-        return self + (-other if isinstance(other, QPolynomial) else -QPolynomial.from_int(other))
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other: "QPolynomial | int") -> "QPolynomial":
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other: "QPolynomial | int") -> "QPolynomial":
         if isinstance(other, int):
             return QPolynomial({e: c * other for e, c in self.coeffs.items()})
+        other = self._coerce(other)
         acc: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():

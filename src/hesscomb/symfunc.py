@@ -279,10 +279,14 @@ def csf_by_coloring(g: IncGraph) -> SymFn:
     its sorted partition therefore checks symmetry completely; NotSymmetric
     names the first that differs, padded with zeros to n colors.
     """
-    n = g.n
+    n = checked_int(g.n, "n")
+    if n < 0:
+        raise OutOfRange(f"negative vertex count {n}")
     full = (1 << n) - 1
     below = [0] * n  # below[v]: neighbors u < v, as a bitmask of 0-based vertices
     for i, j in g.edges:
+        checked_int(i, "an edge end")
+        checked_int(j, "an edge end")
         if not 1 <= i < j <= n:
             raise OutOfRange(f"edge {(i, j)} is not a pair i < j in 1..{n}")
         below[j - 1] |= 1 << (i - 1)

@@ -18,7 +18,6 @@ import itertools
 
 from hesscomb.cohomology import (
     OrbitPartition,
-    TransitionBlock,
     XYElement,
     XYMonomial,
     basis_B1,
@@ -60,6 +59,8 @@ def y_sector_xparts(h):
 
 
 def oracle_transition_blocks(h):
+    """Per degree, (degree, dense matrix, rows, columns), one normal form per
+    column."""
     d1, d2, d3 = (by_degree(b, h) for b in (basis_B1(h), basis_B2(h), basis_B3(h)))
     blocks = []
     for d in sorted(set(d1) | set(d3)):
@@ -70,8 +71,14 @@ def oracle_transition_blocks(h):
         for j, e in enumerate(cols):
             for m, c in normal_form(e, h).terms.items():
                 matrix[index[m]][j] = c
-        blocks.append(TransitionBlock(2 * d, tuple(map(tuple, matrix)), tuple(rows), tuple(cols)))
+        blocks.append((2 * d, tuple(map(tuple, matrix)), tuple(rows), tuple(cols)))
     return blocks
+
+
+def dense_blocks(blocks):
+    """Each TransitionBlock as (degree, matrix, row_elements, col_elements),
+    the layout of oracle_transition_blocks."""
+    return [(b.degree, b.matrix, b.row_elements, b.col_elements) for b in blocks]
 
 
 def oracle_permutation_orbits(h):

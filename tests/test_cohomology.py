@@ -597,6 +597,18 @@ def test_block_determinant_requires_square():
         b.determinant()
 
 
+@pytest.mark.parametrize("columns", [
+    ({0: 1},), ({0: 1}, {1: 1}, {2: 1}), ({0: 1}, {2: 1}), ({0: 1}, {-1: 1}),
+], ids=["too few columns", "too many columns", "row past the end", "negative row"])
+def test_sparse_block_determinant_raises_not_square(columns):
+    # a column count other than the row count, or a column entry outside
+    # the block, is NotSquare, never an IndexError or KeyError
+    rows = tuple(basis_B1(one_row(3, 2)).elements[:2])
+    b = TransitionBlock(0, columns, rows, rows[:len(columns)])
+    with pytest.raises(NotSquare):
+        b.determinant()
+
+
 def test_coordinates_rejects_foreign_monomials():
     h = one_row(3, 2)
     rows = list(basis_B1(h).elements)

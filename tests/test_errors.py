@@ -157,6 +157,10 @@ INT_ARGUMENTS = {
     "all_hessenberg_functions": lambda v: list(all_hessenberg_functions(v)),
     "IntPoly.var": lambda v: IntPoly.var(3, v),
     "IntPoly coefficient": lambda v: IntPoly(2, {(1, 0): v}),
+    "IntPoly exponent": lambda v: IntPoly(2, {(v, 0): 1}),
+    "IncGraph n": lambda v: csf_by_coloring(IncGraph(v, frozenset())),
+    "IncGraph edge, lower end": lambda v: csf_by_coloring(IncGraph(3, frozenset({(v, 3)}))),
+    "IncGraph edge, upper end": lambda v: csf_by_coloring(IncGraph(3, frozenset({(1, v)}))),
     "QPolynomial exponent": lambda v: QPolynomial({v: 1}),
     "QPolynomial coefficient": lambda v: QPolynomial({1: v}),
     "QPolynomial.q": QPolynomial.q,
@@ -208,6 +212,39 @@ def test_golden_lookup_rejects_keys_that_are_not_names(key):
 def test_coloring_rejects_edges_outside_the_vertices(edge):
     with pytest.raises(OutOfRange):
         csf_by_coloring(IncGraph(3, frozenset({edge})))
+
+
+OPERATORS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+}
+POLYNOMIALS = {
+    "QPolynomial": QPolynomial.q(),
+    "IntPoly": IntPoly.var(2, 1),
+    "GkmClass": class_x(3, 1),
+}
+
+
+@pytest.mark.parametrize("other", [1.5, None, "2", (1,)], ids=repr)
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+@pytest.mark.parametrize("poly", POLYNOMIALS.values(), ids=POLYNOMIALS.keys())
+def test_polynomial_arithmetic_rejects_other_operands(poly, op, other):
+    # an int is a constant and a polynomial of the same kind combines; any
+    # other operand, on either side, is MalformedInput, not AttributeError
+    with pytest.raises(MalformedInput, match="cannot combine"):
+        op(poly, other)
+    with pytest.raises(MalformedInput, match="cannot combine"):
+        op(other, poly)
+
+
+def test_polynomial_arithmetic_across_kinds_is_malformed():
+    with pytest.raises(MalformedInput):
+        IntPoly.var(2, 1) + QPolynomial.q()
+    with pytest.raises(MalformedInput):
+        QPolynomial.q() * IntPoly.var(2, 1)
+    assert 1 - QPolynomial.q() == QPolynomial({0: 1, 1: -1})
+    assert 1 - class_x(3, 1) == GkmClass.constant(3, 1) - class_x(3, 1)
 
 
 def test_coordinates_rejects_non_monomial_basis():

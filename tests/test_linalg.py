@@ -84,6 +84,56 @@ def test_bareiss_goes_through_neither_insert_nor_contains(monkeypatch):
     assert calls == []
 
 
+def as_sparse(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
+def test_bareiss_on_sparse_rows_with_unit_rows():
+    # diagonal unit rows drop out with their column by Laplace expansion;
+    # off-diagonal unit rows (permutation matrices, whose sign is the answer)
+    # and unit rows whose column holds other entries stay exact
+    rng = random.Random(27)
+    seen = set()
+    for trial in range(500):
+        n = rng.randint(1, 9)
+        kind = trial % 3
+        if kind == 0:
+            m = sparse_matrix(rng, n, rng.choice([0.2, 0.4]))
+            for i in rng.sample(range(n), rng.randint(0, n)):
+                m[i] = [int(j == i) for j in range(n)]
+        elif kind == 1:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            m = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+            for i in rng.sample(range(n), rng.randint(0, n // 2)):
+                m[i] = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
+        else:
+            m = sparse_matrix(rng, n, 0.3)
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                m[i] = [int(j == i) for j in range(n)]
+                for r in rng.sample(range(n), rng.randint(0, n - 1)):
+                    if r != i:
+                        m[r][i] = rng.randint(-4, 4)
+        expected = fraction_det(m)
+        assert bareiss_det(as_sparse(m)) == expected, m
+        assert bareiss_det(m) == expected, m
+        seen.add(("zero", "negative", "positive")[(expected != 0) + (expected > 0)])
+        if any(row == [int(j == i) for j in range(n)] for i, row in enumerate(m)):
+            seen.add("diagonal unit row")
+        if any(sum(map(abs, row)) == 1 and row[i] == 0 for i, row in enumerate(m)):
+            seen.add("off-diagonal unit row")
+    assert seen == {"zero", "negative", "positive", "diagonal unit row", "off-diagonal unit row"}
+
+
+def test_bareiss_sparse_rows_must_fit_the_matrix():
+    assert bareiss_det([{0: 2}, {1: 3}]) == 6
+    assert bareiss_det([{}, {1: 1}]) == 0
+    assert bareiss_det([{1: 1}, {0: 1}]) == -1
+    for rows in ([{0: 1}, {2: 1}], [{-1: 1}, {1: 1}], [{0: 1}, [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            bareiss_det(rows)
+
+
 def block_triangular(rng, units, groups, n, singular=False):
     """[[I, A], [0, C]] with C block diagonal: one (n-1)-square block per
     group, shaped like a transition block's B2 rows against its B3 columns
@@ -126,6 +176,9 @@ def test_bareiss_on_block_triangular_matrices_with_n_pivots_after_units():
         m = block_triangular(rng, units, groups, n, singular)
         expected = fraction_det(m)
         assert bareiss_det(m) == expected, m
+        # the columns as sparse rows, as TransitionBlock.determinant passes
+        # them: the unit columns are diagonal unit rows there
+        assert bareiss_det(as_sparse(zip(*m))) == expected, m
         if not singular:
             assert abs(expected) == n ** groups
         seen.add("zero" if expected == 0 else "negative" if expected < 0 else "positive")

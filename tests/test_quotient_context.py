@@ -16,6 +16,7 @@ import weakref
 
 import pytest
 from blocks_oracle import (
+    dense_blocks,
     oracle_decomposition_counts,
     oracle_permutation_orbits,
     oracle_transition_blocks,
@@ -60,12 +61,17 @@ def fresh_rewriters():
 
 
 def block_report(blocks):
-    """Everything a block holds, in order, as text."""
+    """Everything a dense block holds, in order, as text."""
     return [
-        (b.degree, b.matrix, [e.to_json() for e in b.row_elements],
-         [e.to_json() for e in b.col_elements])
-        for b in blocks
+        (degree, matrix, [e.to_json() for e in rows], [e.to_json() for e in cols])
+        for degree, matrix, rows, cols in blocks
     ]
+
+
+def sparse_columns(matrix):
+    """The columns of a dense matrix as maps row -> nonzero entry."""
+    width = len(matrix[0]) if matrix else 0
+    return [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(width)]
 
 
 def orbit_report(op):
@@ -77,8 +83,13 @@ def assert_reports_match_oracle(h):
     cohomology._one_row_ring.cache_clear()
     blocks = transition_blocks(h)
     expected = oracle_transition_blocks(h)
-    assert blocks == expected
-    assert block_report(blocks) == block_report(expected)
+    assert dense_blocks(blocks) == expected
+    assert block_report(dense_blocks(blocks)) == block_report(expected)
+    # the sparse columns hold exactly the nonzero entries, B1 columns as {j: 1}
+    for b, (_, matrix, rows, _) in zip(blocks, expected, strict=True):
+        assert list(b.columns) == sparse_columns(matrix)
+        b1 = sum(not next(iter(e.terms)).y for e in rows)
+        assert b.columns[:b1] == tuple({j: 1} for j in range(b1))
     if h(1) < h.n:
         assert orbit_report(permutation_orbits(h)) == orbit_report(oracle_permutation_orbits(h))
     assert decomposition_counts(h) == oracle_decomposition_counts(h)
@@ -174,14 +185,21 @@ def test_one_construction_per_basis_element(bases_first, monkeypatch):
     cohomology._one_row_ring.cache_clear()
     if bases_first:
         basis_B1(h), basis_B2(h), basis_B3(h)
+    # every build is counted, whether through the public constructor or
+    # through the private path that skips its checks
     built = []
-    real = XYElement.__post_init__
+    real_check, real_build = XYElement.__post_init__, cohomology._element
 
-    def counting(e):
+    def counting_check(e):
         built.append(1)
-        real(e)
+        real_check(e)
 
-    monkeypatch.setattr(XYElement, "__post_init__", counting)
+    def counting_build(n, terms):
+        built.append(1)
+        return real_build(n, terms)
+
+    monkeypatch.setattr(XYElement, "__post_init__", counting_check)
+    monkeypatch.setattr(cohomology, "_element", counting_build)
     try:
         transition_blocks(h)
         assert len(built) == sum(sizes)

@@ -217,7 +217,7 @@ def test_blocks_and_orbits_match_lifo_oracle(values, monkeypatch):
         return lifo_normal_form(e, h)
 
     monkeypatch.setattr(blocks_oracle, "normal_form", counting_lifo)
-    assert blocks_oracle.oracle_transition_blocks(h) == blocks
+    assert blocks_oracle.oracle_transition_blocks(h) == blocks_oracle.dense_blocks(blocks)
     assert lifo_calls
     if orbits is not None:
         lifo_calls.clear()
@@ -246,6 +246,23 @@ def test_product_beyond_the_lifo_step_limit():
 # --- monomial objects -------------------------------------------------------------
 
 
+def count_monomial_builds(monkeypatch, made):
+    """Append to made each XYMonomial built from here on, through the public
+    constructor or through the private path that skips its checks."""
+    real_check, real_build = XYMonomial.__post_init__, cohomology._monomial
+
+    def counting_check(m):
+        made.append((m.xexp, m.y))
+        real_check(m)
+
+    def counting_build(*args):
+        made.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(XYMonomial, "__post_init__", counting_check)
+    monkeypatch.setattr(cohomology, "_monomial", counting_build)
+
+
 def test_normal_form_builds_one_monomial_per_output_term(monkeypatch):
     # the rules run on packed ints; a fresh rewriter builds an XYMonomial
     # only for each output term, and keeps it for the next call
@@ -256,12 +273,7 @@ def test_normal_form_builds_one_monomial_per_output_term(monkeypatch):
     b = b3_element((0, 0, 1, 0, 2, 0), 3)
     cases.append((multiply(h6, a, b), h6))
     made = []
-
-    def counting(*args):
-        made.append(args)
-        return XYMonomial(*args)
-
-    monkeypatch.setattr(cohomology, "XYMonomial", counting)
+    count_monomial_builds(monkeypatch, made)
     try:
         for e, h in cases:
             fresh_rewriters()
@@ -278,11 +290,6 @@ def test_normal_form_builds_no_monomial_once_the_ring_exists(monkeypatch):
     # the ring hands its B1 and B2 monomials to the rewriter, so a product
     # reduced after a block or orbit report builds no XYMonomial at all
     made = []
-
-    def counting(*args):
-        made.append(args)
-        return XYMonomial(*args)
-
     h = new_hessenberg([5, 6, 6, 6, 6, 6])
     cases = [multiply(h, b3_element((0, 0, 1, 2, 2, 0), 2), b3_element((0, 0, 1, 0, 2, 0), 3))]
     cases += list(basis_B3(h).elements)
@@ -290,7 +297,7 @@ def test_normal_form_builds_no_monomial_once_the_ring_exists(monkeypatch):
     try:
         ring = cohomology._one_row_ring(h)
         basis = {m: m for e in ring.b1 + ring.b2 for m in e.terms}
-        monkeypatch.setattr(cohomology, "XYMonomial", counting)
+        count_monomial_builds(monkeypatch, made)
         for e in cases:
             nf = normal_form(e, h)
             assert not made, e.pretty()
