@@ -172,7 +172,7 @@ class GkmClass:
             if other.n != self.n:
                 raise ShapeMismatch("mismatched n")
             return other
-        if isinstance(other, (int, IntPoly)):
+        if type(other) in (int, IntPoly):
             return GkmClass.constant(self.n, other)
         raise MalformedInput(f"cannot combine a class with {other!r:.40}")
 

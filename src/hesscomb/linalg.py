@@ -12,11 +12,15 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
 
+from .errors import MalformedInput, NotSquare
+
 
 def bareiss_det(rows: Sequence[Sequence[int] | dict[int, int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free, sparse).
 
-    A row is a dense sequence of n entries or a sparse dict column -> entry.
+    A row is a dense sequence of n entries or a sparse dict column -> entry,
+    each an int: anything else is MalformedInput, and a row that does not fit
+    the n-by-n matrix is NotSquare.
     A diagonal unit row e_i is dropped with column i: Laplace expansion along
     it has the one term +det of the minor, so the identity part of a
     block-triangular matrix never reaches the elimination.  The other rows go
@@ -29,17 +33,21 @@ def bareiss_det(rows: Sequence[Sequence[int] | dict[int, int]]) -> int:
     the permutation from kept rows to leads.  The cost is about the nonzeros
     of the rows that are not diagonal units."""
     n = len(rows)
-    columns = range(n)
+    columns, ints = range(n), {int}
     units, kept = set(), {}
     for i, r in enumerate(rows):
         if not isinstance(r, dict):
             if len(r) != n:
-                raise ValueError("matrix is not square")
-            r = {j: int(r[j]) for j in compress(columns, r)}
-        if len(r) == 1 and r.get(i) == 1:
+                raise NotSquare("matrix is not square")
+            if not ints.issuperset(map(type, r)):
+                raise MalformedInput(f"a matrix entry is not an integer in {r!r:.80}")
+            r = {j: r[j] for j in compress(columns, r)}
+        if len(r) == 1 and r.get(i) == 1 and type(r[i]) is int:
             units.add(i)
+        elif not ints.issuperset(map(type, r.values())):
+            raise MalformedInput(f"a matrix entry is not an integer in {r!r:.80}")
         elif r and (min(r) < 0 or max(r) >= n):
-            raise ValueError("matrix is not square")
+            raise NotSquare("a row has an entry outside the square matrix")
         else:
             kept[i] = r
     ech = IntEchelon()

@@ -1,25 +1,30 @@
 """Exact polynomials in a single variable q with integer coefficients.
 
 Used for Poincaré polynomials, inversion generating functions and the
-coefficients of chromatic quasisymmetric functions.  Coefficients are a
-sparse map exponent -> int with no zero entries stored.
+coefficients of chromatic quasisymmetric functions.  `terms` maps exponent
+-> nonzero int; the ring operations are those of intpoly._Poly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import add
 
-from .errors import MalformedInput, OutOfRange, checked_int
+from .errors import OutOfRange, checked_int
+from .intpoly import _Poly
 
 
-class QPolynomial:
-    """Integer polynomial in q, exact and immutable by convention.
+class QPolynomial(_Poly):
+    """Integer polynomial in q, exact and immutable by convention; a key is
+    an exponent int and nvars is 1.
 
     >>> (QPolynomial.q() + QPolynomial.one()) * QPolynomial.q()
     QPolynomial('q + q^2')
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _noun = "q-polynomial"
+    _mul_keys = add
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         clean = {}
@@ -32,7 +37,10 @@ class QPolynomial:
                     if e < 0:
                         raise OutOfRange("negative exponent")
                     clean[e] = c
-        self.coeffs = clean
+        self.nvars, self.terms = 1, clean
+
+    def _unit(self) -> int:
+        return 0
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -59,95 +67,35 @@ class QPolynomial:
 
     def pairs(self) -> list[tuple[int, int]]:
         """Sorted [exponent, coefficient] view used by every serializer."""
-        return sorted(self.coeffs.items())
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is int:
-            other = QPolynomial.from_int(other)
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    @staticmethod
-    def _coerce(other: "QPolynomial | int") -> "QPolynomial":
-        if isinstance(other, QPolynomial):
-            return other
-        if isinstance(other, int):
-            return QPolynomial.from_int(other)
-        raise MalformedInput(f"cannot combine a q-polynomial with {other!r:.40}")
-
-    def __add__(self, other: "QPolynomial | int") -> "QPolynomial":
-        other = self._coerce(other)
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc[e] = acc.get(e, 0) + c
-        return QPolynomial(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "QPolynomial | int") -> "QPolynomial":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: "QPolynomial | int") -> "QPolynomial":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other: "QPolynomial | int") -> "QPolynomial":
-        if isinstance(other, int):
-            return QPolynomial({e: c * other for e, c in self.coeffs.items()})
-        other = self._coerce(other)
-        acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        return QPolynomial(acc)
-
-    __rmul__ = __mul__
+        return sorted(self.terms.items())
 
     def __call__(self, value: int) -> int:
-        return sum(c * value**e for e, c in self.coeffs.items())
+        return sum(c * value**e for e, c in self.terms.items())
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
+        return max(self.terms, default=-1)
 
     def coefficient(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
+        return self.terms.get(e, 0)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
+    def _format(self, power: str, times: str) -> str:
+        """Terms by rising exponent; power formats q^e for e > 1, and times
+        goes between a coefficient other than +-1 and its power of q."""
         bits = []
         for e, c in self.pairs():
             if e == 0:
                 bits.append(str(c))
                 continue
-            head = "" if c == 1 else ("-" if c == -1 else str(c))
-            var = "q" if e == 1 else f"q^{e}"
-            bits.append(f"{head}{var}" if head in ("", "-") else f"{head}*{var}")
-        out = " + ".join(bits)
-        return out.replace("+ -", "- ")
+            var = "q" if e == 1 else power.format(e)
+            bits.append(var if c == 1 else f"-{var}" if c == -1 else f"{c}{times}{var}")
+        return " + ".join(bits).replace("+ -", "- ") or "0"
+
+    def __str__(self) -> str:
+        return self._format("q^{}", "*")
 
     def latex(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for e, c in self.pairs():
-            if e == 0:
-                bits.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else str(c))
-                var = "q" if e == 1 else f"q^{{{e}}}"
-                bits.append(f"{head}{var}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return self._format("q^{{{}}}", "")
 
     def __repr__(self) -> str:
         return f"QPolynomial('{self}')"
@@ -157,7 +105,7 @@ def q_int(k: int) -> QPolynomial:
     """q-analog [k]_q = 1 + q + ... + q^(k-1); [0]_q = 0."""
     if checked_int(k, "k") < 0:
         raise OutOfRange("q_int of a negative integer")
-    return QPolynomial({e: 1 for e in range(k)})
+    return QPolynomial._of(1, dict.fromkeys(range(k), 1))
 
 
 def q_factorial(k: int) -> QPolynomial:

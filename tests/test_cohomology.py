@@ -39,6 +39,7 @@ from hesscomb.cohomology import (
 from hesscomb.errors import (
     DegenerateForm,
     FormMismatch,
+    MalformedInput,
     NotInBasis,
     NotSquare,
     ShapeMismatch,
@@ -606,6 +607,16 @@ def test_sparse_block_determinant_raises_not_square(columns):
     rows = tuple(basis_B1(one_row(3, 2)).elements[:2])
     b = TransitionBlock(0, columns, rows, rows[:len(columns)])
     with pytest.raises(NotSquare):
+        b.determinant()
+
+
+@pytest.mark.parametrize("column", [{0: 1.5}, {0: "1"}, {0: True}], ids=repr)
+def test_block_determinant_rejects_non_integer_entries(column):
+    # a float or digit string would fail with TypeError, and True would
+    # count as a unit column with determinant 1
+    rows = tuple(basis_B1(one_row(3, 2)).elements[:1])
+    b = TransitionBlock(0, (column,), rows, rows)
+    with pytest.raises(MalformedInput):
         b.determinant()
 
 

@@ -156,6 +156,9 @@ INT_ARGUMENTS = {
     "q_factorial": q_factorial,
     "all_hessenberg_functions": lambda v: list(all_hessenberg_functions(v)),
     "IntPoly.var": lambda v: IntPoly.var(3, v),
+    "IntPoly.var nvars": lambda v: IntPoly.var(v, 1),
+    "IntPoly.const nvars": lambda v: IntPoly.const(v, 1),
+    "IntPoly nvars": lambda v: IntPoly(v),
     "IntPoly coefficient": lambda v: IntPoly(2, {(1, 0): v}),
     "IntPoly exponent": lambda v: IntPoly(2, {(v, 0): 1}),
     "IncGraph n": lambda v: csf_by_coloring(IncGraph(v, frozenset())),
@@ -202,6 +205,14 @@ def test_monomial_exponents_must_be_a_tuple(exps):
         XYMonomial(exps)
 
 
+@pytest.mark.parametrize("exps", ["01", 5, None, frozenset({0, 1})], ids=repr)
+def test_intpoly_exponents_must_be_a_tuple(exps):
+    # an int key would fail with TypeError, and a frozenset of two ints would
+    # read as the exponents t1*t2^2
+    with pytest.raises(MalformedInput, match="must be a tuple"):
+        IntPoly(2, {exps: 1})
+
+
 @pytest.mark.parametrize("key", [["fig4"], {"fig4": 1}, 4, None], ids=repr)
 def test_golden_lookup_rejects_keys_that_are_not_names(key):
     with pytest.raises(KeyNotFound):
@@ -238,6 +249,17 @@ def test_polynomial_arithmetic_rejects_other_operands(poly, op, other):
         op(other, poly)
 
 
+@pytest.mark.parametrize("scalar", [True, False], ids=repr)
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+@pytest.mark.parametrize("poly", POLYNOMIALS.values(), ids=POLYNOMIALS.keys())
+def test_polynomial_arithmetic_rejects_bool_scalars(poly, op, scalar):
+    # a bool is not an int operand: p * True would otherwise pass for p
+    with pytest.raises(MalformedInput, match="cannot combine"):
+        op(poly, scalar)
+    with pytest.raises(MalformedInput, match="cannot combine"):
+        op(scalar, poly)
+
+
 def test_polynomial_arithmetic_across_kinds_is_malformed():
     with pytest.raises(MalformedInput):
         IntPoly.var(2, 1) + QPolynomial.q()
@@ -260,6 +282,10 @@ def test_polynomial_arguments_out_of_range():
         QPolynomial({-1: 1})
     with pytest.raises(KOutOfRange):
         IntPoly.var(3, 5)
+    with pytest.raises(OutOfRange):
+        IntPoly(2, {(-1, 0): 1})
+    with pytest.raises(OutOfRange):
+        IntPoly(-1)
 
 
 # --- fuzzing the decoders -----------------------------------------------------

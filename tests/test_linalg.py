@@ -9,6 +9,7 @@ import pytest
 from fracspan import FracSpan
 
 from hesscomb.cohomology import basis_B3, transition_blocks
+from hesscomb.errors import MalformedInput
 from hesscomb.hessenberg import new_hessenberg
 from hesscomb.linalg import IntEchelon, bareiss_det
 
@@ -132,6 +133,16 @@ def test_bareiss_sparse_rows_must_fit_the_matrix():
     for rows in ([{0: 1}, {2: 1}], [{-1: 1}, {1: 1}], [{0: 1}, [0, 1, 0]]):
         with pytest.raises(ValueError):
             bareiss_det(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2.9, 0], [0, 1]], [[True, 0], [0, 1]], [[1, 0], [0, "1"]], [[0.0, 1], [1, 0]],
+    [{0: 1.5}], [{0: "1"}], [{0: True}], [{0: 2, 1: 1.0}, {1: 1}], [{1: 1}, {0: 1, 1: None}],
+], ids=repr)
+def test_bareiss_entries_must_be_ints(rows):
+    # int() would truncate 2.9 to 2, and {0: True} would pass as a unit row
+    with pytest.raises(MalformedInput, match="not an integer"):
+        bareiss_det(rows)
 
 
 def block_triangular(rng, units, groups, n, singular=False):

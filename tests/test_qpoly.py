@@ -66,6 +66,14 @@ def test_pairs_sorted_and_latex():
     assert str(QPolynomial.zero()) == "0"
 
 
+def test_text_and_latex_terms():
+    p = QPolynomial({0: -2, 1: 1, 2: -1, 3: 5, 10: -3, 11: 1})
+    assert str(p) == "-2 + q - q^2 + 5*q^3 - 3*q^10 + q^11"
+    assert p.latex() == "-2 + q - q^{2} + 5q^{3} - 3q^{10} + q^{11}"
+    assert str(QPolynomial({1: -1})) == QPolynomial({1: -1}).latex() == "-q"
+    assert QPolynomial.zero().latex() == "0"
+
+
 @given(qpolys, qpolys)
 def test_addition_commutes(a, b):
     assert a + b == b + a
